@@ -90,7 +90,7 @@ def run_mcos(stream, method: str, w: int, d: int) -> dict:
         "seconds": elapsed,
         "results": n_results,
         "peak_states": peak,
-        "visits": gen.stats.get("visits") if hasattr(gen, "stats") else None,
+        "visits": gen.stats["visits"],
     }
 
 

@@ -19,7 +19,7 @@ is rejected, mirroring the paper's eligibility test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.cnf import CNFEvalE
@@ -29,7 +29,8 @@ from repro.core.naive import NaiveGenerator
 from repro.core.queries import Query, query_labels
 from repro.core.ssg import SSGGenerator
 
-METHODS = ("naive", "mfs", "ssg")
+GENERATORS = {"naive": NaiveGenerator, "mfs": MFSGenerator, "ssg": SSGGenerator}
+METHODS = tuple(GENERATORS)
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,13 @@ class PipelineStats:
     result_states: int = 0
     matches: int = 0
     terminated: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def make_generator(method: str, w: int, d: int, admit=None):
     """Factory for the three MCOS generators."""
-    if method == "naive":
-        return NaiveGenerator(w, d, admit=admit)
-    if method == "mfs":
-        return MFSGenerator(w, d, admit=admit)
-    if method == "ssg":
-        return SSGGenerator(w, d, admit=admit)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in GENERATORS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return GENERATORS[method](w, d, admit=admit)
 
 
 class QueryPipeline:

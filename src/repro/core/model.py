@@ -76,7 +76,7 @@ class ObjSetCodec:
         return len(self._oid_of)
 
 
-@dataclass
+@dataclass(slots=True)
 class State:
     """A state ``(ID_s, F_s)`` with its Marked Frame Set.
 

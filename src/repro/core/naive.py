@@ -1,78 +1,42 @@
 """NAIVE baseline for MCOS generation (paper Section 6.2).
 
 Stores every object set ever produced by intersections together with
-the frames it appears in, with *no* validity bookkeeping.  Each result
+the frames it appears in, with *no* validity pruning.  Each result
 request must therefore collect all duration-satisfying object sets,
 group them by their (potentially long) frame sets, and keep only the
 maximal object set per group — invalid states are filtered late, and
 are re-intersected against every arriving frame until their whole
 frame set expires.  Both costs are the ones MFS/SSG exist to avoid.
 
-All three generators share the same :class:`~repro.core.model.State`
-representation and window bookkeeping (the paper implements them in
-one memory-based framework), so measured differences reflect the
-algorithms — state counts, pruning, and traversal — not data-structure
-engineering.  NAIVE simply never populates ``marks``.
+NAIVE runs the update step shared by all three generators
+(:mod:`repro.core.mfs`: scan enumeration, creation, append, marking)
+and differs only on the validity axis: it maintains marks but never
+reads them.  So measured differences reflect the algorithms — state
+counts, pruning, and traversal — not data-structure engineering.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.core.model import State, Window, merge_sorted_unique
+from repro.core.mfs import MFSGenerator
 
 
-class NaiveGenerator:
-    """Hash-table state maintenance: objset mask -> frame-set state."""
+class NaiveGenerator(MFSGenerator):
+    """Hash-table state maintenance: objset mask -> frame-set state.
 
-    def __init__(self, w: int, d: int, admit: Callable[[int], bool] | None = None) -> None:
-        self.win = Window(w, d)
-        self.states: dict[int, State] = {}
-        # ``admit`` supports the Section 5.3 termination pruning used by
-        # the *_O variants; NAIVE itself is always run unpruned in the
-        # paper, but the hook keeps the three generators interchangeable.
-        self.admit = admit
+    The inherited ``admit`` hook supports the Section 5.3 termination
+    pruning used by the *_O variants; NAIVE itself is always run
+    unpruned in the paper, but the hook keeps the three generators
+    interchangeable.
+    """
 
-    def advance(self, fid: int, objs_mask: int) -> None:
-        """Process one arriving frame (fids strictly increasing)."""
-        lo = self.win.lo(fid)
+    def _expire(self, fid: int, lo: int) -> None:
+        # Every state is touched on every frame; a state dies only when
+        # its whole frame set has drained out of the window.
         states = self.states
-        # Expire: every state is touched on every frame; a state dies
-        # only when its whole frame set has drained out of the window.
         for mask in list(states):
             st = states[mask]
             st.expire(lo)
             if not st.frames:
                 del states[mask]
-        if not objs_mask:
-            return
-        # Intersect the arriving object set with every stored state,
-        # grouping generator states by their intersection.
-        gens: dict[int, list[State]] = {}
-        for st in states.values():
-            inter = st.objset & objs_mask
-            if inter:
-                bucket = gens.get(inter)
-                if bucket is None:
-                    gens[inter] = [st]
-                else:
-                    bucket.append(st)
-        for inter, glist in gens.items():
-            ex = states.get(inter)
-            if ex is not None:
-                ex.append_frame(fid)
-            else:
-                if self.admit is not None and not self.admit(inter):
-                    continue
-                fr = merge_sorted_unique([g.frames for g in glist])
-                if not fr or fr[-1] != fid:
-                    fr.append(fid)
-                states[inter] = State(inter, fr)
-        st = states.get(objs_mask)
-        if st is None:
-            if self.admit is None or self.admit(objs_mask):
-                states[objs_mask] = State(objs_mask, [fid])
-        else:
-            st.append_frame(fid)
 
     def results(self) -> dict[int, list[int]]:
         """Satisfied *valid* states of the current window.
@@ -91,6 +55,3 @@ class NaiveGenerator:
                 if cur is None or mask.bit_count() > cur.bit_count():
                     best[key] = mask
         return {mask: list(key) for key, mask in best.items()}
-
-    def n_states(self) -> int:
-        return len(self.states)

@@ -13,81 +13,74 @@ object set is empty — every descendant's intersection is a subset, so
 whole subtrees are skipped.  That is the pruning that NAIVE and MFS
 (which intersect *every* stored state per frame) cannot do.
 
-Implementation notes (see DESIGN.md §5 for the mapping to the paper's
-pseudocode and the ambiguities resolved):
+SSG runs the MFS update step (:mod:`repro.core.mfs`) and differs from
+MFS in enumeration only: it overrides ``_generators`` (ST traversal),
+``_create`` (graph edges, CNPS) and ``_drop`` (node removal), and keeps
+a lazy Result State Set.  See DESIGN.md §5 for the mapping to the
+paper's pseudocode and the ambiguities resolved:
 
 - Traversal and state update are two phases: the traversal collects,
   per intersection value, the set of *generator* states it met
   (exactly the states whose intersection with the frame is non-empty —
   these are provably all states with non-empty intersection), then the
-  update phase applies the same creation/append/marking rules as MFS
-  over that generator map plus all edge maintenance.  This is
-  behaviourally identical to the interleaved Algorithm 1 + CNPS and
-  makes "SSG result == MFS result" an exact testable property.
+  shared update step applies the MFS creation/append/marking rules
+  over that generator map.  This is behaviourally identical to the
+  interleaved Algorithm 1 + CNPS and makes "SSG result == MFS result"
+  an exact testable property.
 - ``_add_edge`` is an idempotent Property-2-preserving insertion: a
   new child subsumed by an existing sibling is placed below that
   sibling (recursively); existing siblings subsumed by the new child
   are re-parented below it (§4.3.4 "Modifying Existing Edges").
-  Applied to the new principal state over the intersection values in
-  descending cardinality, it realises the CNPS selection (§4.3.5).
+  Applied to the new principal state over the intersection values, it
+  realises the CNPS selection (§4.3.5) in any order, without the
+  explicit descending-cardinality sort.
 - Invalid states met during traversal are pruned on the spot
   (``pruneState``): removed from the graph with their children
   re-attached to their parents (or promoted to roots) so every live
   state stays reachable.
 - The Result State Set is maintained lazily per §4.3.7:
-  ``SR_i = revalidate(SR_{i-1}) ∪ {satisfied states visited at i}``.
+  ``SR_i = revalidate(SR_{i-1}) ∪ {satisfied states updated at i}``.
 - States never visited again (empty intersections forever) would
-  otherwise linger; a garbage sweep every ``w`` frames bounds memory
-  at amortised O(|S|/w) per frame.
+  otherwise linger; the MFS expiry loop runs as a garbage sweep every
+  ``w`` frames, bounding memory at amortised O(|S|/w) per frame.
 """
 from __future__ import annotations
 
-from itertools import count
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from itertools import chain, count
+from typing import Callable, Iterable
 
-from repro.core.model import State, Window, merge_sorted_unique
-
-
-class SSGNode:
-    """A graph node owning one state plus adjacency and visit flag."""
-
-    __slots__ = ("state", "objset", "children", "parents", "flag", "seq")
-
-    def __init__(self, state: State, seq: int) -> None:
-        self.state = state
-        self.objset = state.objset  # denormalised: hot in traversal
-        self.children: set[SSGNode] = set()
-        self.parents: set[SSGNode] = set()
-        self.flag = -1  # fid of the last frame that visited this node
-        self.seq = seq  # creation order; roots are traversed in order
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SSGNode({bin(self.objset)}, F={self.state.frames}, M={self.state.mark})"
+from repro.core.mfs import MFSGenerator
+from repro.core.model import State
 
 
-class SSGGenerator:
+@dataclass(slots=True, eq=False, repr=False)
+class SSGNode(State):
+    """A state that is also a graph node: adjacency and visit flag."""
+
+    children: set[SSGNode] = field(default_factory=set)
+    parents: set[SSGNode] = field(default_factory=set)
+    flag: int = -1  # fid of the last frame that visited this node
+    seq: int = 0  # creation order; roots are traversed in order
+
+    # Nodes live in each other's adjacency sets: hash by identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+class SSGGenerator(MFSGenerator):
     """SSG state maintenance with ST traversal and CNPS connection."""
 
-    def __init__(
-        self,
-        w: int,
-        d: int,
-        admit: Callable[[int], bool] | None = None,
-        gc_every: int | None = None,
-    ) -> None:
-        self.win = Window(w, d)
-        self.states: dict[int, SSGNode] = {}
+    def __init__(self, w: int, d: int, admit: Callable[[int], bool] | None = None) -> None:
+        # With ``admit`` (SSG_O) an inadmissible object set is never
+        # added to the graph — and since admissibility is monotone for
+        # >=-only workloads, none of its subsets will ever be generated
+        # through it either (subtree never built).
+        super().__init__(w, d, admit)
         self.roots: dict[int, SSGNode] = {}
         self._seq = count()
         self._sr: dict[int, SSGNode] = {}
         self._cur_lo = 0
-        # Section 5.3 termination hook (SSG_O): an inadmissible object
-        # set is never added to the graph — and since admissibility is
-        # monotone for >=-only workloads, none of its subsets will ever
-        # be generated through it either (subtree never built).
-        self.admit = admit
-        self.gc_every = gc_every if gc_every is not None else w
-        self.stats = {"visits": 0}
 
     # ------------------------------------------------------------------
     # graph plumbing
@@ -113,7 +106,7 @@ class SSGGenerator:
         c.parents.add(p)
         self.roots.pop(c.objset, None)
 
-    def _remove_node(self, node: SSGNode) -> None:
+    def _drop(self, node: SSGNode) -> None:
         """Detach an (invalid/expired) node, re-wiring its children."""
         if self.states.get(node.objset) is node:
             del self.states[node.objset]
@@ -132,148 +125,91 @@ class SSGGenerator:
             if not c.parents:
                 self.roots[c.objset] = c
 
-    def _new_node(self, state: State) -> SSGNode:
-        node = SSGNode(state, next(self._seq))
-        self.states[state.objset] = node
-        self.roots[state.objset] = node  # until an edge gives it a parent
-        return node
+    def _create(
+        self, objset: int, frames: list[int], mark: int, parent: SSGNode | None, below: Iterable[int]
+    ) -> None:
+        node = SSGNode(objset, frames, mark, seq=next(self._seq))
+        self.states[objset] = node
+        self.roots[objset] = node  # until an edge gives it a parent
+        if parent is not None:
+            # One superset parent suffices: the node is visited
+            # whenever its own intersection is non-empty because
+            # every ancestor is a superset (Property 1), so the
+            # remaining generator edges of §4.3.3 would only add
+            # redundant traversal paths, never extra pruning.
+            self._add_edge(parent, node)
+        # CNPS: connect a new principal state above every intersection
+        # state of its frame (§4.3.5).  An existing principal state got
+        # these edges the frame it was created — re-adding them every
+        # frame is pure overhead (and was the dominant SSG cost).  No
+        # state lies above a new one: a superset of the frame's object
+        # set would have generated it as an intersection.
+        for inter in below:
+            child = self.states.get(inter)
+            if child is not None:
+                self._add_edge(node, child)
+
+    def _expire(self, fid: int, lo: int) -> None:
+        # ST prunes lazily on visit; the full sweep is only for states
+        # never visited again.
+        if fid % self.win.w == 0:
+            super()._expire(fid, lo)
 
     # ------------------------------------------------------------------
     # ST traversal (Algorithm 1) — iterative for Python-level speed
     # ------------------------------------------------------------------
-    def _traverse(
-        self,
-        fid: int,
-        lo: int,
-        objs_mask: int,
-        gen_map: dict[int, list[SSGNode]],
-    ) -> None:
+    def _generators(self, fid: int, lo: int, objs_mask: int) -> dict[int, list[SSGNode]]:
+        gens: dict[int, list[SSGNode]] = {}
         stack = sorted(self.roots.values(), key=lambda n: -n.seq)
         visits = 0
-        get_bucket = gen_map.get
+        get_bucket = gens.get
         while stack:
             node = stack.pop()
             if node.flag == fid:
                 continue
             node.flag = fid
             visits += 1
-            st = node.state
-            if st.mark < lo:
+            if node.mark < lo:
                 # Invalid (newest key frame expired): remove, keep
                 # traversing its former children, which may be live.
                 children = list(node.children)
-                self._remove_node(node)
+                self._drop(node)
                 stack.extend(children)
                 continue
-            fr = st.frames
+            fr = node.frames
             if fr and fr[0] < lo:
-                st.expire(lo)  # pruneState
-            inter = st.objset & objs_mask
+                node.expire(lo)  # pruneState
+            inter = node.objset & objs_mask
             if not inter:
                 continue  # descendants' intersections are subsets: skip
             bucket = get_bucket(inter)
             if bucket is None:
-                gen_map[inter] = [node]
+                gens[inter] = [node]
             else:
                 bucket.append(node)
             for c in node.children:  # push only unvisited children
                 if c.flag != fid:
                     stack.append(c)
         self.stats["visits"] += visits
+        return gens
 
     # ------------------------------------------------------------------
     # frame processing
     # ------------------------------------------------------------------
-    def advance(self, fid: int, objs_mask: int) -> None:
-        """Process one arriving frame (fids strictly increasing)."""
-        lo = self.win.lo(fid)
-        self._cur_lo = lo
-        if self.gc_every and fid % self.gc_every == 0:
-            self._gc(lo)
-        gen_map: dict[int, list[SSGNode]] = {}
-        if objs_mask:
-            self._traverse(fid, lo, objs_mask, gen_map)
-        updated: list[SSGNode] = []
-        # Apply creation/append/marking over the generator map.  Order
-        # does not matter: ``_add_edge`` enforces Property 2 in both
-        # directions (placing a subsumed child deeper / re-parenting a
-        # subsumed sibling), which realises the CNPS selection without
-        # the explicit descending-cardinality sort of §4.3.5.
-        for inter, glist in gen_map.items():
-            node = self.states.get(inter)
-            if node is not None:
-                node.state.append_frame(fid)
-                for g in glist:
-                    if g.state.mark > node.state.mark:
-                        node.state.mark = g.state.mark  # §4.3.6 marking
-            else:
-                if self.admit is not None and not self.admit(inter):
-                    continue
-                fr = merge_sorted_unique([g.state.frames for g in glist])
-                if not fr or fr[-1] != fid:
-                    fr.append(fid)
-                node = self._new_node(State(inter, fr, max(g.state.mark for g in glist)))
-                # One superset parent suffices: the node is visited
-                # whenever its own intersection is non-empty because
-                # every ancestor is a superset (Property 1), so the
-                # remaining generator edges of §4.3.3 would only add
-                # redundant traversal paths, never extra pruning.
-                self._add_edge(glist[0], node)
-            updated.append(node)
-        # Principal state for the arriving frame (marks its own fid),
-        # plus CNPS: connect it above every intersection state.
-        ns = None
-        ns_is_new = False
-        if objs_mask and (self.admit is None or self.admit(objs_mask)):
-            ns = self.states.get(objs_mask)
-            if ns is None:
-                ns_is_new = True
-                ns = self._new_node(State(objs_mask, [fid], fid))
-                updated.append(ns)
-            else:
-                ns.state.append_frame(fid)
-                ns.state.mark = fid
-                updated.append(ns)  # may appear twice; SR dict dedups
-            ns.flag = fid
-            if ns_is_new:
-                # CNPS: connect the new principal state (§4.3.5).  When
-                # ns already existed, all these edges were added the
-                # frame it was created — re-adding them every frame is
-                # pure overhead (and was the dominant SSG cost).
-                for g in gen_map.get(objs_mask, ()):  # states above ns
-                    if g is not ns:
-                        self._add_edge(g, ns)
-                for inter in gen_map:
-                    if inter != objs_mask:
-                        node = self.states.get(inter)
-                        if node is not None:
-                            self._add_edge(ns, node)
+    def advance(self, fid: int, objs_mask: int) -> dict[int, list[SSGNode]]:
+        gens = super().advance(fid, objs_mask)
         # Result State Set: revalidated previous SR plus states updated
         # at this frame (§4.3.7).
+        lo = self._cur_lo = self.win.lo(fid)
         d = self.win.d
-        new_sr: dict[int, SSGNode] = {}
-        for mask, node in self._sr.items():
-            if (
-                self.states.get(mask) is node
-                and node.state.is_valid(lo)
-                and node.state.n_live_frames(lo) >= d
-            ):
-                new_sr[mask] = node
-        for node in updated:
-            if node.state.is_valid(lo) and node.state.n_live_frames(lo) >= d:
-                new_sr[node.objset] = node
-        self._sr = new_sr
-
-    def _gc(self, lo: int) -> None:
-        """Sweep states never revisited (empty intersections forever)."""
-        for mask in list(self.states):
-            node = self.states.get(mask)
-            if node is None:
-                continue
-            if node.state.mark < lo:
-                self._remove_node(node)
-                continue
-            node.state.expire(lo)
+        states = self.states
+        sr: dict[int, SSGNode] = {}
+        for mask in chain(self._sr, gens, (objs_mask,)):
+            node = states.get(mask)
+            if node is not None and node.is_valid(lo) and node.n_live_frames(lo) >= d:
+                sr[mask] = node
+        self._sr = sr
+        return gens
 
     # ------------------------------------------------------------------
     # results / introspection
@@ -281,13 +217,7 @@ class SSGGenerator:
     def results(self) -> dict[int, list[int]]:
         """Satisfied valid states (the Result State Set)."""
         lo = self._cur_lo
-        return {mask: node.state.live_frames(lo) for mask, node in self._sr.items()}
-
-    def n_states(self) -> int:
-        return len(self.states)
-
-    def iter_nodes(self) -> Iterator[SSGNode]:
-        return iter(self.states.values())
+        return {mask: node.live_frames(lo) for mask, node in self._sr.items()}
 
     def check_invariants(self) -> None:
         """Structural invariants, asserted by tests after every frame."""

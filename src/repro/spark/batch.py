@@ -21,7 +21,7 @@ from typing import Iterable
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.evaluate import QueryPipeline
+from repro.core.evaluate import QueryPipeline, mcos_stream
 from repro.core.queries import Query
 
 RESULT_SCHEMA = (
@@ -32,14 +32,22 @@ MCOS_SCHEMA = "camera string, fid long, objset string, n_frames long"
 EMPTY_FRAME_OID = -1
 
 
+def frames_by_fid(pdfs: Iterable[pd.DataFrame]) -> dict[int, list[tuple[int, str]]]:
+    """Group VR rows as ``fid -> [(oid, cls), ...]``; an
+    ``EMPTY_FRAME_OID`` marker row gives its frame an empty list."""
+    by_fid: dict[int, list[tuple[int, str]]] = {}
+    for pdf in pdfs:
+        for row in pdf.itertuples(index=False):
+            objs = by_fid.setdefault(int(row.fid), [])
+            if int(row.oid) != EMPTY_FRAME_OID:
+                objs.append((int(row.oid), row.cls))
+    return by_fid
+
+
 def _frames_of_group(pdf: pd.DataFrame, n_frames: int | None) -> Iterable[tuple[int, list[tuple[int, str]]]]:
     """Yield ``(fid, [(oid, cls), ...])`` for every frame, in order,
     including empty frames up to ``n_frames`` (or max fid seen)."""
-    by_fid: dict[int, list[tuple[int, str]]] = {}
-    for row in pdf.itertuples(index=False):
-        objs = by_fid.setdefault(int(row.fid), [])
-        if int(row.oid) != EMPTY_FRAME_OID:
-            objs.append((int(row.oid), row.cls))
+    by_fid = frames_by_fid([pdf])
     hi = (n_frames - 1) if n_frames is not None else (max(by_fid) if by_fid else -1)
     for fid in range(hi + 1):
         yield fid, by_fid.get(fid, [])
@@ -86,20 +94,18 @@ def mcos_batch(
 ) -> DataFrame:
     """Query-less MCOS generation (§6.2): the satisfied Result State
     Set per frame as ``(camera, fid, objset, n_frames)`` rows."""
-    from repro.core.evaluate import make_generator
-    from repro.core.model import ObjSetCodec
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         camera = str(pdf["camera"].iloc[0])
-        codec = ObjSetCodec()
-        gen = make_generator(method, w, d)
-        rows = []
-        for fid, objs in _frames_of_group(pdf, n_frames):
-            gen.advance(fid, codec.encode_iter(oid for oid, _ in objs))
-            for mask, frames in gen.results().items():
-                rows.append(
-                    (camera, fid, ",".join(map(str, codec.decode(mask))), len(frames))
-                )
+        frames = (
+            (fid, [oid for oid, _ in objs])
+            for fid, objs in _frames_of_group(pdf, n_frames)
+        )
+        rows = [
+            (camera, fid, ",".join(map(str, objset)), len(fr))
+            for fid, result in mcos_stream(frames, w=w, d=d, method=method)
+            for objset, fr in result.items()
+        ]
         return pd.DataFrame(rows, columns=["camera", "fid", "objset", "n_frames"])
 
     return vr_df.groupBy("camera").applyInPandas(run, MCOS_SCHEMA)

@@ -30,7 +30,7 @@ from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from repro.core.evaluate import QueryPipeline
 from repro.core.queries import Query
-from repro.spark.batch import EMPTY_FRAME_OID, RESULT_SCHEMA
+from repro.spark.batch import EMPTY_FRAME_OID, RESULT_SCHEMA, frames_by_fid
 
 STATE_SCHEMA = "blob binary"
 
@@ -46,12 +46,7 @@ def _make_update_fn(queries: list[Query], w: int, d: int, method: str, prune: bo
             pipe: QueryPipeline = pickle.loads(bytes(state.get[0]))
         else:
             pipe = QueryPipeline(queries, w=w, d=d, method=method, prune=prune)
-        by_fid: dict[int, list[tuple[int, str]]] = {}
-        for pdf in pdfs:
-            for row in pdf.itertuples(index=False):
-                objs = by_fid.setdefault(int(row.fid), [])
-                if int(row.oid) != EMPTY_FRAME_OID:
-                    objs.append((int(row.oid), row.cls))
+        by_fid = frames_by_fid(pdfs)
         rows = []
         last = pipe._last_fid
         for fid in sorted(by_fid):

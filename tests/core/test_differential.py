@@ -93,15 +93,23 @@ def test_hypothesis_fuzz(method, frames, w, data):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_mark_exactness_vs_validity_threshold(seed):
-    """The *newest* mark of every MFS state must sit exactly on the
+    """The *newest* mark of every state must sit exactly on the
     oracle's validity threshold f* — the frame whose expiry kills the
-    state (DESIGN.md: marks exactness, paper Theorems 1/4)."""
-    from repro.core.mfs import MFSGenerator
+    state (DESIGN.md: marks exactness, paper Theorems 1/4).
 
+    The three methods differ only in pruning: MFS drops a state the
+    frame its newest mark expires, NAIVE and SSG may keep it longer.
+    So MFS's whole store, and NAIVE's and SSG's states with a mark in
+    the window, must be exactly the oracle's closed states."""
+    for method in METHODS:
+        check_marks(method, seed)
+
+
+def check_marks(method, seed):
     w, d = 8, 3
     stream = bursty_stream(50, n_objects=8, dwell=6, occl=0.25, seed=seed)
     codec, enc = encode_stream(stream)
-    gen = MFSGenerator(w, d)
+    gen = make_generator(method, w, d)
     window: list[tuple[int, int]] = []
     for fid, mask in enc:
         window.append((fid, mask))
@@ -109,12 +117,19 @@ def test_mark_exactness_vs_validity_threshold(seed):
         while window and window[0][0] < lo:
             window.pop(0)
         gen.advance(fid, mask)
-        for smask, st_ in gen.states.items():
+        kept = {
+            smask: st_
+            for smask, st_ in gen.states.items()
+            if method == "mfs" or st_.mark >= lo
+        }
+        got = {smask: st_.live_frames(lo) for smask, st_ in kept.items()}
+        assert got == brute.closed_states(window), f"method={method} fid={fid}"
+        for smask, st_ in kept.items():
             fstar = brute.validity_threshold(window, smask)
             assert fstar is not None, (
-                f"fid={fid}: invalid state {codec.decode(smask)} survived"
+                f"method={method} fid={fid}: invalid state {codec.decode(smask)} survived"
             )
             assert st_.mark == fstar, (
-                f"fid={fid} state={codec.decode(smask)}: newest mark "
+                f"method={method} fid={fid} state={codec.decode(smask)}: newest mark "
                 f"{st_.mark} != validity threshold {fstar}"
             )

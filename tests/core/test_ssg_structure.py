@@ -46,7 +46,7 @@ def test_traversal_skips_disjoint_subtrees():
     g2 = ["xyz", "xy", "xyz", "xz", "xyz"]
     stream = letters_stream(g1 + g2)
     _, enc = encode_stream(stream)
-    gen = SSGGenerator(20, 2, gc_every=0)
+    gen = SSGGenerator(20, 2)
     for fid, mask in enc[: len(g1)]:
         gen.advance(fid, mask)
     n_states_g1 = gen.n_states()
@@ -105,10 +105,10 @@ def test_gc_sweep_bounds_stale_states():
     """States never revisited are swept within one window length."""
     active = letters_stream(["abc", "abc", "abc", "xyz", "xyz", "xyz"])
     # after frame 2 the abc community never recurs; w=3 so by fid>=6
-    # all abc states are invalid; the sweep runs every gc_every=3.
+    # all abc states are invalid; the sweep runs every w=3 frames.
     tail = [(fid, [ord("x"), ord("y")]) for fid in range(6, 16)]
     _, enc = encode_stream(active + tail)
-    gen = SSGGenerator(3, 1, gc_every=3)
+    gen = SSGGenerator(3, 1)
     codec_masks_abc = enc[0][1]
     for fid, mask in enc:
         gen.advance(fid, mask)
