@@ -91,6 +91,8 @@ def run_mcos(stream, method: str, w: int, d: int) -> dict:
         "results": n_results,
         "peak_states": peak,
         "visits": gen.stats["visits"],
+        "expired": gen.stats["expired"],
+        "refiled": gen.stats["refiled"],
     }
 
 

@@ -9,6 +9,14 @@ along two axes only: *enumeration* (MFS and NAIVE scan every state,
 SSG traverses its graph) and *validity* (MFS and SSG drop a state when
 its newest mark expires; NAIVE never reads the marks it keeps).
 
+Expiry and result collection touch only the states they concern.
+Every stored state is filed under its *death key* (``_key``: newest
+mark, or NAIVE's newest frame) in buckets popped in key order; a state
+whose key has moved up since is re-filed when its old bucket pops.
+The Result State Set (§4.3.7) is ``SR_i = revalidate(SR_{i-1}) ∪
+{satisfied states updated at i}``.  Frames are trimmed lazily, when
+enumeration meets a generator, so read accessors take ``lo``.
+
 Like NAIVE, MFS intersects every stored state with each arriving
 frame; unlike NAIVE, every state carries a *Marked Frame Set* whose
 marks form a Key Frame Set (Definition 4, Theorem 1).  A state becomes
@@ -33,6 +41,7 @@ DESIGN.md):
 """
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Iterable
 
 from repro.core.model import State, Window, merge_sorted_unique
@@ -41,6 +50,8 @@ from repro.core.model import State, Window, merge_sorted_unique
 class MFSGenerator:
     """State maintenance with Marked Frame Sets."""
 
+    state_cls = State
+
     def __init__(self, w: int, d: int, admit: Callable[[int], bool] | None = None) -> None:
         self.win = Window(w, d)
         self.states: dict[int, State] = {}
@@ -48,14 +59,21 @@ class MFSGenerator:
         # ``admit(mask) -> bool``; object sets failing every >=-only
         # query are never maintained.
         self.admit = admit
-        # Enumeration cost: states scanned, or graph nodes visited.
-        self.stats = {"visits": 0}
+        # Enumeration cost (states scanned, or graph nodes visited),
+        # states dropped, and bucket entries moved to a later key.
+        self.stats = {"visits": 0, "expired": 0, "refiled": 0}
+        self._keys: list[int] = []  # heap of the bucket keys
+        self._buckets: dict[int, list[State]] = {}
+        self._sr: dict[int, State] = {}  # Result State Set
+        self._lo = 0
 
     def advance(self, fid: int, objs_mask: int) -> dict[int, list[State]]:
         """Process one arriving frame (fids strictly increasing) with the
         update step all methods share; returns the generator map."""
-        lo = self.win.lo(fid)
-        self._expire(fid, lo)
+        lo = self._lo = self.win.lo(fid)
+        d = self.win.d
+        self._expire(lo)
+        sr = self._sr = {m: s for m, s in self._sr.items() if s.n_live_frames(lo) >= d}
         if not objs_mask:
             return {}
         gens = self._generators(fid, lo, objs_mask)
@@ -65,16 +83,21 @@ class MFSGenerator:
             ex = states.get(inter)
             if ex is not None:
                 # Append case: ``inter == ex.objset`` and
-                # ``ex.objset ⊆ objs_mask`` (ex is its own generator).
+                # ``ex.objset ⊆ objs_mask`` (ex is its own generator,
+                # so its frames are trimmed).
                 ex.append_frame(fid)
                 for g in glist:
                     if g.mark > ex.mark:
                         ex.mark = g.mark  # mark propagation (§4.2.3)
+                if len(ex.frames) >= d:
+                    sr[inter] = ex
             elif admit is None or admit(inter):
                 fr = merge_sorted_unique([g.frames for g in glist])
                 if not fr or fr[-1] != fid:
                     fr.append(fid)
-                self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
+                st = self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
+                if len(fr) >= d:
+                    sr[inter] = st
         # The arriving frame's own object set is (or becomes) a
         # principal-style state with the arriving fid marked.
         st = states.get(objs_mask)
@@ -82,22 +105,41 @@ class MFSGenerator:
             st.append_frame(fid)
             st.mark = fid
         elif admit is None or admit(objs_mask):
-            self._create(objs_mask, [fid], fid, None, gens)
+            st = self._create(objs_mask, [fid], fid, None, gens)
+        if st is not None and len(st.frames) >= d:
+            sr[objs_mask] = st
         return gens
 
-    def _expire(self, fid: int, lo: int) -> None:
-        """Expire frames; drop states whose newest mark expired — by
-        Theorem 1 those states are invalid."""
-        states = self.states
-        for mask in list(states):
-            st = states[mask]
-            if st.mark < lo:
-                self._drop(st)
-            else:
-                st.expire(lo)
+    def _key(self, st: State) -> int:
+        """Death key: the state is dropped once this fid expires."""
+        return st.mark
+
+    def _file(self, st: State, key: int) -> None:
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [st]
+            heappush(self._keys, key)
+        else:
+            bucket.append(st)
+
+    def _expire(self, lo: int) -> None:
+        """Pop the buckets keyed below ``lo``: drop the states whose
+        death key expired — by Theorem 1 those states are invalid —
+        and re-file the others under their current key."""
+        keys, buckets, stats = self._keys, self._buckets, self.stats
+        while keys and keys[0] < lo:
+            for st in buckets.pop(heappop(keys)):
+                key = self._key(st)
+                if key < lo:
+                    self._drop(st)
+                    stats["expired"] += 1
+                else:
+                    self._file(st, key)
+                    stats["refiled"] += 1
 
     def _drop(self, st: State) -> None:
         del self.states[st.objset]
+        self._sr.pop(st.objset, None)
 
     def _generators(self, fid: int, lo: int, objs_mask: int) -> dict[int, list[State]]:
         """Scan: intersect every stored state with the frame, grouping
@@ -107,6 +149,8 @@ class MFSGenerator:
         for st in states.values():
             inter = st.objset & objs_mask
             if inter:
+                if st.frames[0] < lo:
+                    st.expire(lo)
                 bucket = gens.get(inter)
                 if bucket is None:
                     gens[inter] = [st]
@@ -117,21 +161,28 @@ class MFSGenerator:
 
     def _create(
         self, objset: int, frames: list[int], mark: int, parent: State | None, below: Iterable[int]
-    ) -> None:
-        """Store a new state.  ``parent`` is one of its generators
-        (``None`` for a principal state); ``below`` holds the object
-        sets a new principal state sits above.  Only SSG's graph reads
-        them."""
-        self.states[objset] = State(objset, frames, mark)
+    ) -> State:
+        """Store, file and return a new state.  ``parent`` is one of its
+        generators (``None`` for a principal state); ``below`` holds the
+        object sets a new principal state sits above.  Only SSG's graph
+        reads them."""
+        self.states[objset] = st = self.state_cls(objset, frames, mark)
+        self._file(st, self._key(st))
+        return st
 
     def results(self) -> dict[int, list[int]]:
-        """Satisfied valid states: all survivors with ``|F_s| >= d``."""
-        d = self.win.d
-        return {
-            mask: list(st.frames)
-            for mask, st in self.states.items()
-            if len(st.frames) >= d
-        }
+        """Satisfied valid states: the Result State Set."""
+        lo = self._lo
+        return {mask: st.live_frames(lo) for mask, st in self._sr.items()}
 
     def n_states(self) -> int:
         return len(self.states)
+
+    def check_invariants(self) -> None:
+        """Filing invariants, asserted by tests after every frame."""
+        assert sorted(self._keys) == sorted(self._buckets), "heap and buckets disagree"
+        filed = [(key, st) for key, bucket in self._buckets.items() for st in bucket]
+        assert len(filed) == self.n_states(), "entries differ from stored states"
+        assert {id(st) for _, st in filed} == set(map(id, self.states.values())), "filing"
+        for key, st in filed:
+            assert self._lo <= key <= self._key(st), f"key {key} outside [lo, death key]"

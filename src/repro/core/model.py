@@ -87,8 +87,11 @@ class State:
     never change a pruning decision (Theorems 1/4; the differential
     tests assert the newest mark equals the brute-force validity
     threshold).  Mark-set union from the paper's marking rules becomes
-    ``max``.  Frames are not eagerly expired — SSG prunes lazily on
-    visit — so read accessors take the window low bound ``lo``.
+    ``max``.  Frames are trimmed lazily, when enumeration meets the
+    state as a generator; a state carried over in the Result State Set
+    may still hold expired frames, so read accessors take the window
+    low bound ``lo``.  The generator drops the state itself once its
+    death key expires (see :mod:`repro.core.mfs`).
     """
 
     objset: int

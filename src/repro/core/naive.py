@@ -9,14 +9,17 @@ are re-intersected against every arriving frame until their whole
 frame set expires.  Both costs are the ones MFS/SSG exist to avoid.
 
 NAIVE runs the update step shared by all three generators
-(:mod:`repro.core.mfs`: scan enumeration, creation, append, marking)
-and differs only on the validity axis: it maintains marks but never
-reads them.  So measured differences reflect the algorithms — state
-counts, pruning, and traversal — not data-structure engineering.
+(:mod:`repro.core.mfs`: scan enumeration, creation, append, marking,
+expiry buckets, Result State Set) and differs only on the validity
+axis: it maintains marks but never reads them, so its death key is a
+state's newest frame.  So measured differences reflect the algorithms
+— state counts, pruning, and traversal — not data-structure
+engineering.
 """
 from __future__ import annotations
 
 from repro.core.mfs import MFSGenerator
+from repro.core.model import State
 
 
 class NaiveGenerator(MFSGenerator):
@@ -28,30 +31,24 @@ class NaiveGenerator(MFSGenerator):
     interchangeable.
     """
 
-    def _expire(self, fid: int, lo: int) -> None:
-        # Every state is touched on every frame; a state dies only when
-        # its whole frame set has drained out of the window.
-        states = self.states
-        for mask in list(states):
-            st = states[mask]
-            st.expire(lo)
-            if not st.frames:
-                del states[mask]
+    def _key(self, st: State) -> int:
+        # A state dies only when its whole frame set has drained out of
+        # the window.
+        return st.frames[-1]
 
     def results(self) -> dict[int, list[int]]:
         """Satisfied *valid* states of the current window.
 
-        Collect all object sets meeting the duration threshold, group
-        by frame set, and keep the maximal object set per frame set —
-        per Definition 2 the states sharing a frame set are a chain
-        under inclusion whose maximum is the MCOS.
+        Group the Result State Set (every state meeting the duration
+        threshold) by frame set, and keep the maximal object set per
+        frame set — per Definition 2 the states sharing a frame set are
+        a chain under inclusion whose maximum is the MCOS.
         """
-        d = self.win.d
+        lo = self._lo
         best: dict[tuple[int, ...], int] = {}
-        for mask, st in self.states.items():
-            if len(st.frames) >= d:
-                key = tuple(st.frames)
-                cur = best.get(key)
-                if cur is None or mask.bit_count() > cur.bit_count():
-                    best[key] = mask
+        for mask, st in self._sr.items():
+            key = tuple(st.live_frames(lo))
+            cur = best.get(key)
+            if cur is None or mask.bit_count() > cur.bit_count():
+                best[key] = mask
         return {mask: list(key) for key, mask in best.items()}

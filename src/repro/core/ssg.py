@@ -15,9 +15,10 @@ whole subtrees are skipped.  That is the pruning that NAIVE and MFS
 
 SSG runs the MFS update step (:mod:`repro.core.mfs`) and differs from
 MFS in enumeration only: it overrides ``_generators`` (ST traversal),
-``_create`` (graph edges, CNPS) and ``_drop`` (node removal), and keeps
-a lazy Result State Set.  See DESIGN.md §5 for the mapping to the
-paper's pseudocode and the ambiguities resolved:
+``_create`` (graph edges, CNPS) and ``_drop`` (node removal); expiry
+buckets and the Result State Set are the shared ones.  See DESIGN.md
+§5 for the mapping to the paper's pseudocode and the ambiguities
+resolved:
 
 - Traversal and state update are two phases: the traversal collects,
   per intersection value, the set of *generator* states it met
@@ -34,20 +35,15 @@ paper's pseudocode and the ambiguities resolved:
   Applied to the new principal state over the intersection values, it
   realises the CNPS selection (§4.3.5) in any order, without the
   explicit descending-cardinality sort.
-- Invalid states met during traversal are pruned on the spot
-  (``pruneState``): removed from the graph with their children
-  re-attached to their parents (or promoted to roots) so every live
-  state stays reachable.
-- The Result State Set is maintained lazily per §4.3.7:
-  ``SR_i = revalidate(SR_{i-1}) ∪ {satisfied states updated at i}``.
-- States never visited again (empty intersections forever) would
-  otherwise linger; the MFS expiry loop runs as a garbage sweep every
-  ``w`` frames, bounding memory at amortised O(|S|/w) per frame.
+- The shared expiry removes a state the frame its newest mark expires,
+  not when the traversal next meets it (``pruneState``), re-attaching
+  its children to its parents (or promoting them to roots), so the
+  traversal meets only valid nodes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import count
 from typing import Callable, Iterable
 
 from repro.core.mfs import MFSGenerator
@@ -71,6 +67,8 @@ class SSGNode(State):
 class SSGGenerator(MFSGenerator):
     """SSG state maintenance with ST traversal and CNPS connection."""
 
+    state_cls = SSGNode
+
     def __init__(self, w: int, d: int, admit: Callable[[int], bool] | None = None) -> None:
         # With ``admit`` (SSG_O) an inadmissible object set is never
         # added to the graph — and since admissibility is monotone for
@@ -79,12 +77,7 @@ class SSGGenerator(MFSGenerator):
         super().__init__(w, d, admit)
         self.roots: dict[int, SSGNode] = {}
         self._seq = count()
-        self._sr: dict[int, SSGNode] = {}
-        self._cur_lo = 0
 
-    # ------------------------------------------------------------------
-    # graph plumbing
-    # ------------------------------------------------------------------
     def _add_edge(self, p: SSGNode, c: SSGNode) -> None:
         """Insert edge ``p -> c`` preserving Properties 1 and 2."""
         if p is c:
@@ -107,29 +100,24 @@ class SSGGenerator(MFSGenerator):
         self.roots.pop(c.objset, None)
 
     def _drop(self, node: SSGNode) -> None:
-        """Detach an (invalid/expired) node, re-wiring its children."""
-        if self.states.get(node.objset) is node:
-            del self.states[node.objset]
+        """Detach an invalid node, re-wiring its children."""
+        super()._drop(node)
         self.roots.pop(node.objset, None)
-        parents = list(node.parents)
-        children = list(node.children)
-        for p in parents:
+        for p in node.parents:
             p.children.discard(node)
-        for c in children:
+        for c in node.children:
             c.parents.discard(node)
-        node.parents.clear()
-        node.children.clear()
-        for c in children:
-            for p in parents:
+        for c in node.children:
+            for p in node.parents:
                 self._add_edge(p, c)
             if not c.parents:
                 self.roots[c.objset] = c
 
     def _create(
         self, objset: int, frames: list[int], mark: int, parent: SSGNode | None, below: Iterable[int]
-    ) -> None:
-        node = SSGNode(objset, frames, mark, seq=next(self._seq))
-        self.states[objset] = node
+    ) -> SSGNode:
+        node = super()._create(objset, frames, mark, parent, below)
+        node.seq = next(self._seq)
         self.roots[objset] = node  # until an edge gives it a parent
         if parent is not None:
             # One superset parent suffices: the node is visited
@@ -139,26 +127,17 @@ class SSGGenerator(MFSGenerator):
             # redundant traversal paths, never extra pruning.
             self._add_edge(parent, node)
         # CNPS: connect a new principal state above every intersection
-        # state of its frame (§4.3.5).  An existing principal state got
-        # these edges the frame it was created — re-adding them every
-        # frame is pure overhead (and was the dominant SSG cost).  No
-        # state lies above a new one: a superset of the frame's object
-        # set would have generated it as an intersection.
+        # state of its frame (§4.3.5); an existing one got these edges
+        # the frame it was created.  No state lies above a new one: a
+        # superset of the frame's object set would have generated it.
         for inter in below:
             child = self.states.get(inter)
             if child is not None:
                 self._add_edge(node, child)
+        return node
 
-    def _expire(self, fid: int, lo: int) -> None:
-        # ST prunes lazily on visit; the full sweep is only for states
-        # never visited again.
-        if fid % self.win.w == 0:
-            super()._expire(fid, lo)
-
-    # ------------------------------------------------------------------
-    # ST traversal (Algorithm 1) — iterative for Python-level speed
-    # ------------------------------------------------------------------
     def _generators(self, fid: int, lo: int, objs_mask: int) -> dict[int, list[SSGNode]]:
+        """ST traversal (Algorithm 1), iterative for Python-level speed."""
         gens: dict[int, list[SSGNode]] = {}
         stack = sorted(self.roots.values(), key=lambda n: -n.seq)
         visits = 0
@@ -169,19 +148,11 @@ class SSGGenerator(MFSGenerator):
                 continue
             node.flag = fid
             visits += 1
-            if node.mark < lo:
-                # Invalid (newest key frame expired): remove, keep
-                # traversing its former children, which may be live.
-                children = list(node.children)
-                self._drop(node)
-                stack.extend(children)
-                continue
-            fr = node.frames
-            if fr and fr[0] < lo:
-                node.expire(lo)  # pruneState
             inter = node.objset & objs_mask
             if not inter:
                 continue  # descendants' intersections are subsets: skip
+            if node.frames[0] < lo:
+                node.expire(lo)
             bucket = get_bucket(inter)
             if bucket is None:
                 gens[inter] = [node]
@@ -193,34 +164,9 @@ class SSGGenerator(MFSGenerator):
         self.stats["visits"] += visits
         return gens
 
-    # ------------------------------------------------------------------
-    # frame processing
-    # ------------------------------------------------------------------
-    def advance(self, fid: int, objs_mask: int) -> dict[int, list[SSGNode]]:
-        gens = super().advance(fid, objs_mask)
-        # Result State Set: revalidated previous SR plus states updated
-        # at this frame (§4.3.7).
-        lo = self._cur_lo = self.win.lo(fid)
-        d = self.win.d
-        states = self.states
-        sr: dict[int, SSGNode] = {}
-        for mask in chain(self._sr, gens, (objs_mask,)):
-            node = states.get(mask)
-            if node is not None and node.is_valid(lo) and node.n_live_frames(lo) >= d:
-                sr[mask] = node
-        self._sr = sr
-        return gens
-
-    # ------------------------------------------------------------------
-    # results / introspection
-    # ------------------------------------------------------------------
-    def results(self) -> dict[int, list[int]]:
-        """Satisfied valid states (the Result State Set)."""
-        lo = self._cur_lo
-        return {mask: node.live_frames(lo) for mask, node in self._sr.items()}
-
     def check_invariants(self) -> None:
-        """Structural invariants, asserted by tests after every frame."""
+        """Filing and graph invariants, asserted by tests after every frame."""
+        super().check_invariants()
         for node in self.states.values():
             assert self.states.get(node.objset) is node
             for c in node.children:

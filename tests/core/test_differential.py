@@ -3,9 +3,12 @@
 Every generator must produce, after every frame, exactly the oracle's
 satisfied valid states (object set -> full supporting frame set).
 Streams cover i.i.d. presence, bursty dwell with occlusions, empty
-frames, and a hypothesis-driven fuzz.
+frames, gaps in the fids, and a hypothesis-driven fuzz.  After every
+frame each generator's expiry filing is checked too.
 """
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ def run_differential(stream, w, d, method):
         while window and window[0][0] < lo:
             window.pop(0)
         gen.advance(fid, mask)
+        gen.check_invariants()
         got = gen.results()
         want = brute.satisfied_states(window, d)
         assert got == want, (
@@ -36,6 +40,9 @@ def run_differential(stream, w, d, method):
             f"got : {{ {', '.join(f'{codec.decode(m)}:{fr}' for m, fr in sorted(got.items()))} }}\n"
             f"want: {{ {', '.join(f'{codec.decode(m)}:{fr}' for m, fr in sorted(want.items()))} }}"
         )
+        if method == "mfs":
+            store = {m: st_.live_frames(lo) for m, st_ in gen.states.items()}
+            assert store == brute.closed_states(window), f"MFS store differs at fid={fid}"
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -65,6 +72,21 @@ def test_streams_with_empty_frames(method, seed):
         3,
         method,
     )
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("w,d", [(5, 2), (8, 4), (10, 7)])
+def test_streams_with_fid_gaps(method, seed, w, d):
+    """Fids skip by 1, 2, 3, w+1 or 2w+5: several frames, or the whole
+    window, expire at once, so expiry meets death keys out of step."""
+    rng = random.Random(seed)
+    fid = 0
+    stream = []
+    for _, objs in bursty_stream(60, n_objects=8, dwell=6, occl=0.2, seed=seed):
+        stream.append((fid, objs))
+        fid += rng.choice((1, 1, 2, 3, w + 1, 2 * w + 5))
+    run_differential(stream, w, d, method)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -105,7 +105,8 @@ def test_gc_sweep_bounds_stale_states():
     """States never revisited are swept within one window length."""
     active = letters_stream(["abc", "abc", "abc", "xyz", "xyz", "xyz"])
     # after frame 2 the abc community never recurs; w=3 so by fid>=6
-    # all abc states are invalid; the sweep runs every w=3 frames.
+    # all abc states are invalid; expiry drops each one the frame its
+    # newest mark leaves the window, visited or not.
     tail = [(fid, [ord("x"), ord("y")]) for fid in range(6, 16)]
     _, enc = encode_stream(active + tail)
     gen = SSGGenerator(3, 1)
