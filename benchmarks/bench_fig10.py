@@ -31,5 +31,9 @@ def test_fig10(benchmark, name, method):
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(
-        {"sec_per_query": res["sec_per_query"], "matches": res["matches"]}
+        {
+            "sec_per_query": res["sec_per_query"],
+            "matches": res["matches"],
+            "evaluations": res["evaluations"],
+        }
     )

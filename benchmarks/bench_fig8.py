@@ -19,4 +19,4 @@ def test_fig8(benchmark, name, nq, method):
     res = benchmark.pedantic(
         lambda: run_query_eval(stream, queries, method, w, d), rounds=1, iterations=1
     )
-    benchmark.extra_info.update({"matches": res["matches"]})
+    benchmark.extra_info.update({"matches": res["matches"], "evaluations": res["evaluations"]})

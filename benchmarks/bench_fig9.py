@@ -31,5 +31,6 @@ def test_fig9(benchmark, name, n_min, method):
             "matches": res["matches"],
             "peak_states": res["peak_states"],
             "terminated": res["terminated"],
+            "evaluations": res["evaluations"],
         }
     )

@@ -29,7 +29,7 @@ def main() -> None:
         "Figure 10: end-to-end seconds per query (50 queries)",
         format_rows(
             rows,
-            ["dataset", "method", "track_seconds", "eval_seconds", "sec_per_query", "matches"],
+            ["dataset", "method", "track_seconds", "eval_seconds", "sec_per_query", "matches", "evaluations"],
         ),
     )
     save_csv(rows, "fig10.csv")

@@ -13,7 +13,7 @@ def main() -> None:
     rows = fig8_rows()
     emit(
         "Figure 8: generation + evaluation time (s) vs #queries",
-        format_rows(rows, ["dataset", "n_queries", "method", "seconds", "matches"]),
+        format_rows(rows, ["dataset", "n_queries", "method", "seconds", "matches", "evaluations"]),
     )
     save_csv(rows, "fig8.csv")
 

@@ -16,7 +16,7 @@ def main() -> None:
         "Figure 9: evaluation time (s) vs n_min (>=-only queries)",
         format_rows(
             rows,
-            ["dataset", "n_min", "method", "seconds", "matches", "peak_states", "terminated"],
+            ["dataset", "n_min", "method", "seconds", "matches", "peak_states", "terminated", "evaluations"],
         ),
     )
     save_csv(rows, "fig9.csv")

@@ -114,6 +114,7 @@ def run_query_eval(
         "matches": pipe.stats.matches,
         "peak_states": peak,
         "terminated": pipe.stats.terminated,
+        "evaluations": pipe.stats.evaluations,
     }
 
 
@@ -278,6 +279,7 @@ def fig10_rows(datasets=DATASET_ORDER, methods=("naive", "mfs", "ssg")) -> list[
                     "eval_seconds": r["seconds"],
                     "sec_per_query": (dt_track + r["seconds"]) / n_q,
                     "matches": r["matches"],
+                    "evaluations": r["evaluations"],
                 }
             )
     return rows

@@ -4,23 +4,28 @@ The pipeline drives one generator (NAIVE / MFS / SSG) over a
 ``(fid, [(oid, label), ...])`` frame stream:
 
 1. objects whose class no query asks about are dropped on entry (§3);
-2. every frame, the generator's Result State Set is aggregated per
-   class label and fed to :class:`~repro.core.cnf.CNFEvalE`;
+2. every frame, each object set of the generator's Result State Set is
+   reduced to its per-class count vector, and
+   :class:`~repro.core.cnf.CNFEvalE` runs once per distinct vector.
+   A CNFEvalE atom is ``class θ n`` (§5.2), so the satisfied queries
+   depend on the counts alone: the pipeline keeps one bitmask per
+   query label, a vector is ``popcount(mask & class_mask)`` per label,
+   and ``evaluate`` is memoised on it (the query set never changes);
 3. a frame set is emitted for every ``(state, query)`` pair evaluated
-   TRUE.
+   TRUE; each object set is decoded once, when it first matches.
 
 With ``prune=True`` and a ``>=``-only workload the §5.3 termination
 strategy is enabled (the ``_O`` variants): each newly generated object
-set is evaluated immediately, and if every query fails it is
-*terminated* — never admitted to the state store.  Proposition 1 makes
-this safe: ``>=`` counts are monotone in the object set, so every
-subset fails too.  For workloads containing ``<=`` or ``==`` the flag
+set is evaluated immediately (through the same memo), and if every
+query fails it is *terminated* — never admitted to the state store.
+Proposition 1 makes this safe: ``>=`` counts are monotone in the
+object set, so every subset fails too.  For workloads containing ``<=`` or ``==`` the flag
 is rejected, mirroring the paper's eligibility test.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.core.cnf import CNFEvalE
 from repro.core.mfs import MFSGenerator
@@ -33,8 +38,7 @@ GENERATORS = {"naive": NaiveGenerator, "mfs": MFSGenerator, "ssg": SSGGenerator}
 METHODS = tuple(GENERATORS)
 
 
-@dataclass(frozen=True)
-class MatchRow:
+class MatchRow(NamedTuple):
     """One query hit: state's MCOS satisfied query ``qid`` at ``fid``."""
 
     fid: int
@@ -49,6 +53,7 @@ class PipelineStats:
     result_states: int = 0
     matches: int = 0
     terminated: int = 0
+    evaluations: int = 0  # CNFEvalE calls: one per distinct count vector
 
 
 def make_generator(method: str, w: int, d: int, admit=None):
@@ -80,64 +85,84 @@ class QueryPipeline:
                 "termination pruning (§5.3) requires a >=-only workload"
             )
         self.queries = queries
-        self.labels = query_labels(queries)
+        self.labels = tuple(sorted(query_labels(queries)))
         self.engine = CNFEvalE(queries)
         self.codec = ObjSetCodec()
         self.label_of: dict[int, str] = {}
         self.prune = prune
-        self._counts_cache: dict[int, dict[str, int]] = {}
-        self._match_cache: dict[int, tuple[int, ...]] = {}
+        # One bitmask per label of ``labels``: an object's codec bit is
+        # set in its class's mask when the object is first seen.
+        self._class_index = {label: i for i, label in enumerate(self.labels)}
+        self._class_masks = [0] * len(self.labels)
+        # count vector -> qids; mask -> (qids, objset); mask -> admitted
+        self._counts_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._match_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._admit_cache: dict[int, bool] = {}
         self.stats = PipelineStats()
         admit = self._admit if prune else None
         self.gen = make_generator(method, w, d, admit=admit)
         self._last_fid: int | None = None
 
-    # -- aggregation ----------------------------------------------------
-    def _counts(self, mask: int) -> dict[str, int]:
-        cached = self._counts_cache.get(mask)
-        if cached is None:
-            counts = {label: 0 for label in self.labels}
-            for oid in self.codec.decode(mask):
-                counts[self.label_of[oid]] += 1
-            cached = self._counts_cache[mask] = counts
-        return cached
+    # -- evaluation -----------------------------------------------------
+    def _qids(self, mask: int) -> tuple[int, ...]:
+        """Sorted qids satisfied by an object set: CNFEvalE runs once
+        per distinct per-class count vector."""
+        counts = tuple((mask & cm).bit_count() for cm in self._class_masks)
+        qids = self._counts_cache.get(counts)
+        if qids is None:
+            self.stats.evaluations += 1
+            hit = self.engine.evaluate(dict(zip(self.labels, counts)))
+            qids = self._counts_cache[counts] = tuple(sorted(hit))
+        return qids
 
-    def _matched_qids(self, mask: int) -> tuple[int, ...]:
-        cached = self._match_cache.get(mask)
-        if cached is None:
-            cached = self._match_cache[mask] = tuple(
-                sorted(self.engine.evaluate(self._counts(mask)))
-            )
-        return cached
+    def _match(self, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(qids, objset)`` of a result state, decoded only if it matches."""
+        hit = self._match_cache.get(mask)
+        if hit is None:
+            qids = self._qids(mask)
+            objset = self.codec.decode(mask) if qids else ()
+            hit = self._match_cache[mask] = (qids, objset)
+        return hit
 
     def _admit(self, mask: int) -> bool:
         """Termination test (§5.3): admit iff some query passes."""
         ok = self._admit_cache.get(mask)
         if ok is None:
-            ok = self._admit_cache[mask] = bool(self._matched_qids(mask))
+            ok = self._admit_cache[mask] = bool(self._qids(mask))
             if not ok:
                 self.stats.terminated += 1
         return ok
 
     # -- streaming ------------------------------------------------------
     def feed(self, fid: int, objects: Iterable[tuple[int, str]]) -> list[MatchRow]:
-        """Process one frame; return the query hits for its window."""
+        """Process one frame; return the query hits for its window.
+
+        The whole frame is checked before any state changes, so a
+        rejected frame leaves the pipeline as it was.
+        """
         fid = int(fid)
         if self._last_fid is not None and fid <= self._last_fid:
             raise ValueError(
                 f"frames must arrive in increasing fid order: {fid} after {self._last_fid}"
             )
-        self._last_fid = fid
+        label_of = self.label_of
+        fresh: dict[int, str] = {}
         keep = []
         for oid, label in objects:
-            if label in self.labels:
-                prev = self.label_of.setdefault(int(oid), label)
+            if label in self._class_index:
+                oid = int(oid)
+                prev = label_of.get(oid)
+                if prev is None:
+                    prev = fresh.setdefault(oid, label)
                 if prev != label:
                     raise ValueError(
                         f"object {oid} seen with classes {prev!r} and {label!r}"
                     )
-                keep.append(int(oid))
+                keep.append(oid)
+        self._last_fid = fid
+        for oid, label in fresh.items():
+            label_of[oid] = label
+            self._class_masks[self._class_index[label]] |= self.codec.encode_one(oid)
         mask = self.codec.encode_iter(keep)
         self.gen.advance(fid, mask)
         rows: list[MatchRow] = []
@@ -145,11 +170,10 @@ class QueryPipeline:
         self.stats.frames += 1
         self.stats.result_states += len(results)
         for smask, frames in results.items():
-            qids = self._matched_qids(smask)
+            qids, objset = self._match(smask)
             if qids:
-                objset = self.codec.decode(smask)
-                for qid in qids:
-                    rows.append(MatchRow(fid, qid, objset, len(frames)))
+                n = len(frames)
+                rows += [MatchRow(fid, qid, objset, n) for qid in qids]
         self.stats.matches += len(rows)
         return rows
 

@@ -148,3 +148,107 @@ def test_match_rows_reference_check(n_queries):
             counts[label_of[oid]] += 1
         assert by_qid[row.qid].holds(counts), row
         assert row.n_frames >= 4
+
+
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [(3, "car"), (1, "person")],  # new object, then a class conflict
+        [(1, "car"), (7, "truck"), (7, "car")],  # conflict inside the frame
+    ],
+)
+def test_rejected_frame_leaves_pipeline_unchanged(method, bad):
+    """A frame refused for a class conflict changes nothing: the
+    corrected frame with the same fid is accepted, and every row after
+    it equals a pipeline that never saw the refused frame."""
+    queries = random_cnf_queries(12, seed=5, labels=("person", "car", "truck"))
+    # Object 1 is a car in two frames of three; 3 and 7 are first seen
+    # in the refused frame.
+    clean = [
+        (fid, [(o, lab) for o, lab in objs if o not in (1, 3, 7)] + [(1, "car")] * (fid % 3 != 0))
+        for fid, objs in labeled_stream(30, seed=4)
+    ]
+    pipe = QueryPipeline(queries, w=8, d=3, method=method)
+    ref = QueryPipeline(queries, w=8, d=3, method=method)
+    for fid, objs in clean[:10]:
+        assert sorted(pipe.feed(fid, objs)) == sorted(ref.feed(fid, objs))
+    with pytest.raises(ValueError, match="classes"):
+        pipe.feed(10, bad)
+    assert len(pipe.codec) == len(ref.codec) and pipe.label_of == ref.label_of
+    n_rows = 0
+    for fid, objs in clean[10:]:
+        rows = pipe.feed(fid, objs)
+        assert sorted(rows) == sorted(ref.feed(fid, objs))
+        n_rows += len(rows)
+    assert n_rows and pipe.stats == ref.stats
+
+
+def record_evaluations(pipe) -> list[tuple]:
+    """Wrap ``pipe.engine.evaluate``; returns the list it appends each
+    call's counts to, as sorted ``(label, count)`` tuples."""
+    calls = []
+    evaluate = pipe.engine.evaluate
+
+    def recording(counts):
+        calls.append(tuple(sorted(counts.items())))
+        return evaluate(counts)
+
+    pipe.engine.evaluate = recording
+    return calls
+
+
+LABEL_SETS = [
+    ("person", "car", "truck"),
+    ("car",),
+    ("person", "bus"),  # "bus" never appears in the stream
+    ("person", "car", "truck", "bus"),
+]
+
+
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+@pytest.mark.parametrize("labels", LABEL_SETS)
+@pytest.mark.parametrize("seed", range(3))
+def test_match_rows_complete(method, labels, seed):
+    """On every frame the rows are exactly the (result state, query)
+    pairs whose query holds on the state's decoded class counts — none
+    missing, none extra — and CNFEvalE runs once per count vector."""
+    stream = labeled_stream(45, n_objects=12, seed=seed)
+    label_of = {oid: lab for _, objs in stream for oid, lab in objs}
+    queries = random_cnf_queries(20, seed=seed, labels=labels, n_lo=0, n_hi=3)
+    assert {c.op for q in queries for disj in q.cnf for c in disj} == {">=", "<=", "=="}
+    query_labels = {c.label for q in queries for disj in q.cnf for c in disj}
+    pipe = QueryPipeline(queries, w=9, d=3, method=method)
+    calls = record_evaluations(pipe)
+    vectors = set()
+    n_rows = 0
+    for fid, objs in stream:
+        rows = pipe.feed(fid, objs)
+        want = set()
+        for mask, frames in pipe.gen.results().items():
+            objset = pipe.codec.decode(mask)
+            counts = {lab: 0 for lab in query_labels}
+            for oid in objset:
+                counts[label_of[oid]] += 1
+            vectors.add(tuple(sorted(counts.items())))
+            want |= {(fid, q.qid, objset, len(frames)) for q in queries if q.holds(counts)}
+        assert len(rows) == len(set(rows))
+        assert set(rows) == want, fid
+        n_rows += len(rows)
+    assert n_rows, "workload produced no matches — weak test"
+    assert len(calls) == len(vectors) == pipe.stats.evaluations == len(pipe._counts_cache)
+    assert set(calls) == vectors
+
+
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+def test_pruned_evaluations_once_per_count_vector(method):
+    """Admission (§5.3) and matching share the count-vector memo."""
+    stream = labeled_stream(60, seed=2)
+    queries = geq_only_queries(30, n_min=2, seed=2, labels=("person", "car", "truck"))
+    pipe = QueryPipeline(queries, w=10, d=4, method=method, prune=True)
+    calls = record_evaluations(pipe)
+    for fid, objs in stream:
+        pipe.feed(fid, objs)
+    assert pipe.stats.terminated > 0
+    assert len(calls) == len(set(calls)) == pipe.stats.evaluations
+    assert pipe.stats.evaluations < len(pipe._admit_cache)

@@ -58,6 +58,18 @@ def test_run_query_eval_prune_consistency():
     assert plain["matches"] == pruned["matches"]
 
 
+def test_run_query_eval_counts_evaluations():
+    """One CNFEvalE call per distinct count vector: far fewer calls than
+    result states, and the count reaches the figure rows."""
+    stream = bench.labeled_stream("D2")
+    w, d = bench.scaled_w_d()
+    queries = geq_only_queries(10, n_min=1, seed=1)
+    r = bench.run_query_eval(stream, queries, "mfs", w, d, prune=True)
+    assert 0 < r["evaluations"] < r["matches"]
+    rows = bench.fig8_rows(datasets=("V2",), n_queries=(5,), methods=("mfs",))
+    assert rows[0]["evaluations"] > 0
+
+
 def test_fig_row_functions_produce_expected_grids():
     rows4 = bench.fig4_rows(datasets=("V2",), fractions=(0.5, 1.0), methods=("mfs",))
     assert len(rows4) == 2 and all(r["method"] == "mfs" for r in rows4)
@@ -89,6 +101,7 @@ def test_fig10_rows_include_tracking_time():
     rows = bench.fig10_rows(datasets=("V2",), methods=("mfs",))
     assert rows[0]["track_seconds"] > 0
     assert rows[0]["sec_per_query"] > 0
+    assert rows[0]["evaluations"] > 0
 
 
 def test_format_rows_aligned():
