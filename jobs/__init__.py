@@ -1,1 +1,1 @@
-"""spark-submit job entrypoints, one per evaluation artifact."""
+"""spark-submit job entrypoints: the evaluation's Spark layer and the VR export."""

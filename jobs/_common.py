@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import os
-import sys
 
 
 def get_spark(app: str):
@@ -20,27 +19,3 @@ def get_spark(app: str):
         .config("spark.sql.shuffle.partitions", "16")
         .getOrCreate()
     )
-
-
-def emit(title: str, table: str) -> None:
-    print(f"\n=== {title} ===", flush=True)
-    print(table, flush=True)
-
-
-def out_dir() -> str:
-    d = os.environ.get("REPRO_RESULTS_DIR", os.path.join(os.path.dirname(__file__), "..", "results"))
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
-def save_csv(rows: list[dict], name: str) -> str:
-    import csv
-
-    path = os.path.join(out_dir(), name)
-    if rows:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-    print(f"[saved {path}]", file=sys.stderr)
-    return path

@@ -4,20 +4,14 @@
 Not required by the benchmarks (which generate in-process) but useful
 for inspecting the substrate output or feeding the streaming demo.
 """
-import os as _os
-import sys as _sys
-
-_sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
-
 import os
 
-from jobs._common import out_dir
-from repro.bench import DATASET_ORDER, dataset_frames
+from repro.bench import DATASET_ORDER, dataset_frames, results_dir
 from repro.videogen.datasets import build_vr, vr_stats
 
 
 def main() -> None:
-    d = os.path.join(out_dir(), "vr")
+    d = os.path.join(results_dir(), "vr")
     os.makedirs(d, exist_ok=True)
     for name in DATASET_ORDER:
         n = dataset_frames(name)

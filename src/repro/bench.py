@@ -1,31 +1,58 @@
 """Experiment harness reproducing the paper's evaluation (Section 6).
 
-One function per evaluation artifact (Table 6, Figures 4-10) returning
-the table of numbers the paper plots: rows of
-``(dataset, method, parameter, seconds, ...)``.  Both ``jobs/*.py``
-(spark-submit entrypoints, full scale) and ``benchmarks/bench_*.py``
-(pytest-benchmark) drive these.
+``ARTIFACTS`` registers each evaluation artifact (Table 6, Figures
+4-10) once: a title, a CSV name, the printed columns, ``grid()``, which
+lists the artifact's points as dicts (dataset, swept parameter,
+method), and ``run(**point)``, which measures one point.
+``rows(name)`` is ``[{**p, **run(**p)} for p in grid()]``: the table of
+numbers the paper plots.  Three entry points share that one code path:
+
+- ``python -m repro.bench [artifact ...]`` prints each table and writes
+  its CSV to ``REPRO_RESULTS_DIR`` (default ``<repo>/results``);
+- ``benchmarks/bench_artifacts.py`` runs one pytest-benchmark per
+  ``(artifact, point)`` and records the row in ``extra_info``;
+- ``jobs/spark_layer.py`` checks Table 6 against Spark SQL and runs the
+  Figure 10 workload through the Spark batch pipeline.
 
 ``REPRO_BENCH_SCALE`` (env, float, default 1.0) scales frame counts
 for quick runs; the paper's parameter defaults (w=300, d=240 — 8 s of
 presence in a 10 s window at 30 fps) are used throughout and scaled
-alongside so the duration-to-window ratio is preserved.
+alongside so the duration-to-window ratio is preserved.  Grids read it
+when called, not at import.
 """
 from __future__ import annotations
 
+import csv
 import os
+import sys
 import time
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
+import repro.videogen.datasets as vd
 from repro.core.evaluate import QueryPipeline, make_generator
 from repro.core.model import ObjSetCodec
 from repro.core.queries import Query, geq_only_queries, random_cnf_queries
-from repro.videogen.datasets import DATASETS, build_vr, vr_stats
+from repro.videogen.datasets import DATASETS, PAPER_TABLE6, build_vr, vr_stats
 
 DATASET_ORDER = ("V1", "V2", "D1", "D2", "M1", "M2")
 
 DEFAULT_W = 300
 DEFAULT_D = 240
+
+METHODS = ("naive", "mfs", "ssg")
+# ``*_e`` evaluate CNFEvalE on the full Result State Set; ``*_o``
+# additionally terminate states per §5.3.
+FIG9_METHODS = ("naive_e", "mfs_e", "ssg_e", "mfs_o", "ssg_o")
+FIG10_QUERIES = 50
+
+# Table 6 statistics, in the order of ``vr_stats`` and ``PAPER_TABLE6``.
+TABLE6_STATS = ("frames", "objects", "obj_per_frame", "occ_per_obj", "frames_per_obj")
+
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "results"
+)
 
 
 def bench_scale() -> float:
@@ -45,6 +72,11 @@ def scaled_w_d(w: int = DEFAULT_W, d: int = DEFAULT_D) -> tuple[int, int]:
     if s >= 1.0:
         return w, d
     return max(10, int(w * s)), max(5, int(d * s))
+
+
+def fig10_queries() -> list[Query]:
+    """The Figure 10 workload, shared with the Spark job."""
+    return random_cnf_queries(FIG10_QUERIES, seed=0)
 
 
 @lru_cache(maxsize=64)
@@ -119,174 +151,160 @@ def run_query_eval(
 
 
 # ----------------------------------------------------------------------
-# one function per paper artifact
+# one point of each paper artifact
 # ----------------------------------------------------------------------
-def table6_rows() -> list[dict]:
-    rows = []
-    for name in DATASET_ORDER:
-        n = dataset_frames(name)
-        s = vr_stats(build_vr(name, n_frames=n), n)
-        s["dataset"] = name
-        rows.append(s)
-    return rows
+def table6_point(dataset: str) -> dict:
+    """Table 6: statistics of one VR relation, next to the paper's."""
+    n = dataset_frames(dataset)
+    paper = dict(zip(TABLE6_STATS, PAPER_TABLE6[dataset]))
+    return {
+        **vr_stats(build_vr(dataset, n_frames=n), n),
+        **{f"paper_{k}": paper[k] for k in TABLE6_STATS[1:]},
+    }
 
 
-def fig4_rows(
-    datasets=DATASET_ORDER,
-    fractions=(0.25, 0.5, 0.75, 1.0),
-    methods=("naive", "mfs", "ssg"),
-) -> list[dict]:
-    """Figure 4: MCOS generation time vs number of frames processed."""
-    w, d = scaled_w_d()
-    rows = []
-    for name in datasets:
-        total = dataset_frames(name)
-        for frac in fractions:
-            n = max(w + 1, int(total * frac))
-            stream = object_stream(name, 0, total)[:n]
-            for method in methods:
-                r = run_mcos(stream, method, w, d)
-                rows.append(
-                    {"dataset": name, "frames": n, "method": method, **r}
-                )
-    return rows
+def mcos_point(
+    dataset: str, method: str, frames: int | None = None,
+    w: int = DEFAULT_W, d: int = DEFAULT_D, p_o: int = 0,
+) -> dict:
+    """Figures 4-7: MCOS generation over the first ``frames`` frames
+    (all by default), with the paper's ``w``/``d`` scaled."""
+    stream = object_stream(dataset, p_o, dataset_frames(dataset))[:frames]
+    return run_mcos(stream, method, *scaled_w_d(w, d))
 
 
-def fig5_rows(
-    datasets=DATASET_ORDER,
-    durations=(180, 210, 240, 270),
-    methods=("naive", "mfs", "ssg"),
-) -> list[dict]:
-    """Figure 5: vary duration d at w=300."""
-    rows = []
-    for name in datasets:
-        stream = object_stream(name)
-        for d0 in durations:
-            w, d = scaled_w_d(DEFAULT_W, d0)
-            for method in methods:
-                r = run_mcos(stream, method, w, d)
-                rows.append({"dataset": name, "d": d0, "method": method, **r})
-    return rows
+def fig8_point(dataset: str, n_queries: int, method: str) -> dict:
+    """Figure 8: MCOS generation + query evaluation of random CNF queries."""
+    queries = random_cnf_queries(n_queries, seed=n_queries)
+    stream = labeled_stream(dataset, 0, dataset_frames(dataset))
+    return run_query_eval(stream, queries, method, *scaled_w_d())
 
 
-def fig6_rows(
-    datasets=DATASET_ORDER,
-    windows=(250, 300, 350, 400),
-    methods=("naive", "mfs", "ssg"),
-) -> list[dict]:
-    """Figure 6: vary window size w at d=240."""
-    rows = []
-    for name in datasets:
-        stream = object_stream(name)
-        for w0 in windows:
-            w, d = scaled_w_d(w0, DEFAULT_D)
-            for method in methods:
-                r = run_mcos(stream, method, w, d)
-                rows.append({"dataset": name, "w": w0, "method": method, **r})
-    return rows
+def fig9_point(dataset: str, n_min: int, method: str) -> dict:
+    """Figure 9: 100 >=-only queries of minimum threshold ``n_min``."""
+    queries = geq_only_queries(100, n_min=n_min, seed=n_min)
+    base, _, suffix = method.partition("_")
+    stream = labeled_stream(dataset, 0, dataset_frames(dataset))
+    return run_query_eval(stream, queries, base, *scaled_w_d(), prune=suffix == "o")
 
 
-def fig7_rows(
-    datasets=DATASET_ORDER,
-    p_os=(0, 1, 2, 3),
-    methods=("naive", "mfs", "ssg"),
-) -> list[dict]:
-    """Figure 7: vary the occlusion (id reuse) parameter p_o."""
-    w, d = scaled_w_d()
-    rows = []
-    for name in datasets:
-        for p_o in p_os:
-            stream = object_stream(name, p_o)
-            for method in methods:
-                r = run_mcos(stream, method, w, d)
-                rows.append({"dataset": name, "p_o": p_o, "method": method, **r})
-    return rows
-
-
-def fig8_rows(
-    datasets=("V1", "M2"),
-    n_queries=(10, 20, 30, 40, 50),
-    methods=("naive", "mfs", "ssg"),
-) -> list[dict]:
-    """Figure 8: MCOS generation + query evaluation vs #queries."""
-    w, d = scaled_w_d()
-    rows = []
-    for name in datasets:
-        stream = labeled_stream(name)
-        for nq in n_queries:
-            queries = random_cnf_queries(nq, seed=nq)
-            for method in methods:
-                r = run_query_eval(stream, queries, method, w, d)
-                rows.append(
-                    {"dataset": name, "n_queries": nq, "method": method, **r}
-                )
-    return rows
-
-
-FIG9_METHODS = ("naive_e", "mfs_e", "ssg_e", "mfs_o", "ssg_o")
-
-
-def fig9_rows(
-    datasets=("D1", "D2", "M1", "M2"),
-    n_mins=(1, 3, 5, 7, 9),
-    methods=FIG9_METHODS,
-) -> list[dict]:
-    """Figure 9: 100 >=-only queries, varying the minimum threshold.
-
-    ``*_e`` evaluate CNFEvalE on the full Result State Set; ``*_o``
-    additionally terminate states per §5.3.
-    """
-    w, d = scaled_w_d()
-    rows = []
-    for name in datasets:
-        stream = labeled_stream(name)
-        for n_min in n_mins:
-            queries = geq_only_queries(100, n_min=n_min, seed=n_min)
-            for m in methods:
-                base, _, suffix = m.partition("_")
-                r = run_query_eval(
-                    stream, queries, base, w, d, prune=(suffix == "o")
-                )
-                rows.append(
-                    {"dataset": name, "n_min": n_min, "method": m, **r}
-                )
-    return rows
-
-
-def fig10_rows(datasets=DATASET_ORDER, methods=("naive", "mfs", "ssg")) -> list[dict]:
-    """Figure 10: end-to-end average seconds per query (50 queries),
-    including the detection/tracking substrate time."""
-    import repro.videogen.datasets as vd
-
-    w, d = scaled_w_d()
-    n_q = 50
-    queries = random_cnf_queries(n_q, seed=0)
-    rows = []
-    for name in datasets:
-        n = dataset_frames(name)
-        vd._VR_CACHE.pop((name, 0, n, None, None), None)
-        t0 = time.perf_counter()
-        build_vr(name, n_frames=n)  # detection + tracking layer
-        dt_track = time.perf_counter() - t0
-        stream = labeled_stream(name, 0, n)
-        for method in methods:
-            r = run_query_eval(stream, queries, method, w, d)
-            rows.append(
-                {
-                    "dataset": name,
-                    "method": method,
-                    "track_seconds": dt_track,
-                    "eval_seconds": r["seconds"],
-                    "sec_per_query": (dt_track + r["seconds"]) / n_q,
-                    "matches": r["matches"],
-                    "evaluations": r["evaluations"],
-                }
-            )
-    return rows
+def fig10_point(dataset: str, method: str) -> dict:
+    """Figure 10: end-to-end seconds per query, including the
+    detection/tracking substrate, built uncached and timed."""
+    n = dataset_frames(dataset)
+    vd._VR_CACHE.pop((dataset, 0, n, None, None), None)
+    t0 = time.perf_counter()
+    build_vr(dataset, n_frames=n)
+    track = time.perf_counter() - t0
+    stream = labeled_stream(dataset, 0, n)
+    r = run_query_eval(stream, fig10_queries(), method, *scaled_w_d())
+    return {
+        "track_seconds": track,
+        "eval_seconds": r["seconds"],
+        "sec_per_query": (track + r["seconds"]) / FIG10_QUERIES,
+        "matches": r["matches"],
+        "evaluations": r["evaluations"],
+    }
 
 
 # ----------------------------------------------------------------------
-# formatting
+# the registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Artifact:
+    """One table or figure: its points (``grid``) and the measurement
+    of one point (``run``)."""
+
+    title: str
+    csv: str
+    columns: tuple[str, ...]
+    grid: Callable[[], list[dict]]
+    run: Callable[..., dict]
+
+
+def sweep(datasets, axis: str, values, methods=METHODS) -> list[dict]:
+    """Points ``{dataset, axis, method}``, dataset outermost."""
+    return [
+        {"dataset": name, axis: v, "method": m}
+        for name in datasets for v in values for m in methods
+    ]
+
+
+def fig4_grid() -> list[dict]:
+    """A quarter, half, three quarters and all of each dataset's frames
+    (at least one window)."""
+    w, _ = scaled_w_d()
+    return [
+        {"dataset": name, "frames": max(w + 1, int(dataset_frames(name) * frac)), "method": m}
+        for name in DATASET_ORDER for frac in (0.25, 0.5, 0.75, 1.0) for m in METHODS
+    ]
+
+
+MCOS_COLUMNS = ("seconds", "results", "peak_states")
+
+ARTIFACTS: dict[str, Artifact] = {
+    "table6": Artifact(
+        "Table 6: dataset statistics (ours vs paper)", "table6.csv",
+        ("dataset", *TABLE6_STATS, *(f"paper_{k}" for k in TABLE6_STATS[1:])),
+        lambda: [{"dataset": name} for name in DATASET_ORDER],
+        table6_point,
+    ),
+    "fig4": Artifact(
+        "Figure 4: MCOS generation time (s) vs #frames", "fig4.csv",
+        ("dataset", "frames", "method", *MCOS_COLUMNS),
+        fig4_grid,
+        mcos_point,
+    ),
+    "fig5": Artifact(
+        "Figure 5: MCOS generation time (s) vs duration d", "fig5.csv",
+        ("dataset", "d", "method", *MCOS_COLUMNS),
+        lambda: sweep(DATASET_ORDER, "d", (180, 210, 240, 270)),
+        mcos_point,
+    ),
+    "fig6": Artifact(
+        "Figure 6: MCOS generation time (s) vs window w", "fig6.csv",
+        ("dataset", "w", "method", *MCOS_COLUMNS),
+        lambda: sweep(DATASET_ORDER, "w", (250, 300, 350, 400)),
+        mcos_point,
+    ),
+    "fig7": Artifact(
+        "Figure 7: MCOS generation time (s) vs p_o", "fig7.csv",
+        ("dataset", "p_o", "method", *MCOS_COLUMNS),
+        lambda: sweep(DATASET_ORDER, "p_o", (0, 1, 2, 3)),
+        mcos_point,
+    ),
+    "fig8": Artifact(
+        "Figure 8: generation + evaluation time (s) vs #queries", "fig8.csv",
+        ("dataset", "n_queries", "method", "seconds", "matches", "evaluations"),
+        # one static- and one moving-camera panel
+        lambda: sweep(("V1", "M2"), "n_queries", (10, 20, 30, 40, 50)),
+        fig8_point,
+    ),
+    "fig9": Artifact(
+        "Figure 9: evaluation time (s) vs n_min (>=-only queries)", "fig9.csv",
+        ("dataset", "n_min", "method", "seconds", "matches", "peak_states", "terminated",
+         "evaluations"),
+        lambda: sweep(("D1", "D2", "M1", "M2"), "n_min", (1, 3, 5, 7, 9), FIG9_METHODS),
+        fig9_point,
+    ),
+    "fig10": Artifact(
+        "Figure 10: end-to-end seconds per query (50 queries)", "fig10.csv",
+        ("dataset", "method", "track_seconds", "eval_seconds", "sec_per_query", "matches",
+         "evaluations"),
+        lambda: [{"dataset": name, "method": m} for name in DATASET_ORDER for m in METHODS],
+        fig10_point,
+    ),
+}
+
+
+def rows(name: str) -> list[dict]:
+    """Every point of an artifact, measured: the paper's table."""
+    art = ARTIFACTS[name]
+    return [{**p, **art.run(**p)} for p in art.grid()]
+
+
+# ----------------------------------------------------------------------
+# output
 # ----------------------------------------------------------------------
 def format_rows(rows: list[dict], columns: list[str] | None = None) -> str:
     """Aligned text table for job output / EXPERIMENTS.md."""
@@ -305,3 +323,34 @@ def format_rows(rows: list[dict], columns: list[str] | None = None) -> str:
     for r in rows:
         lines.append("  ".join(fmt(r.get(c, "")).ljust(widths[c]) for c in columns))
     return "\n".join(lines)
+
+
+def results_dir() -> str:
+    d = os.environ.get("REPRO_RESULTS_DIR", RESULTS_DIR)
+    os.makedirs(d, exist_ok=True)
+    return d
+
+
+def save_csv(rows: list[dict], name: str) -> str:
+    path = os.path.join(results_dir(), name)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+def main(names: list[str]) -> None:
+    """Print and save the named artifacts' tables (all when none named)."""
+    unknown = [n for n in names if n not in ARTIFACTS]
+    if unknown:
+        sys.exit(f"unknown artifact(s) {', '.join(unknown)}; choose from {', '.join(ARTIFACTS)}")
+    for name in names or ARTIFACTS:
+        art = ARTIFACTS[name]
+        table = rows(name)
+        print(f"\n=== {art.title} ===\n{format_rows(table, art.columns)}", flush=True)
+        print(f"[saved {save_csv(table, art.csv)}]", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

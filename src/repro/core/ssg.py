@@ -54,12 +54,15 @@ from repro.core.model import State
 class SSGNode(State):
     """A state that is also a graph node: adjacency and visit flag."""
 
-    children: set[SSGNode] = field(default_factory=set)
-    parents: set[SSGNode] = field(default_factory=set)
+    # Adjacency as insertion-ordered dicts (used as sets), so that the
+    # graph's shape and the traversal order, hence ``stats``, do not
+    # depend on the nodes' addresses.
+    children: dict[SSGNode, None] = field(default_factory=dict)
+    parents: dict[SSGNode, None] = field(default_factory=dict)
     flag: int = -1  # fid of the last frame that visited this node
     seq: int = 0  # creation order; roots are traversed in order
 
-    # Nodes live in each other's adjacency sets: hash by identity.
+    # Nodes live in each other's adjacency dicts: hash by identity.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -92,11 +95,11 @@ class SSGGenerator(MFSGenerator):
         for c2 in list(p.children):
             if c2.objset & c.objset == c2.objset:
                 # existing sibling subsumed by c: re-parent (§4.3.4).
-                p.children.discard(c2)
-                c2.parents.discard(p)
+                del p.children[c2]
+                del c2.parents[p]
                 self._add_edge(c, c2)
-        p.children.add(c)
-        c.parents.add(p)
+        p.children[c] = None
+        c.parents[p] = None
         self.roots.pop(c.objset, None)
 
     def _drop(self, node: SSGNode) -> None:
@@ -104,9 +107,9 @@ class SSGGenerator(MFSGenerator):
         super()._drop(node)
         self.roots.pop(node.objset, None)
         for p in node.parents:
-            p.children.discard(node)
+            del p.children[node]
         for c in node.children:
-            c.parents.discard(node)
+            del c.parents[node]
         for c in node.children:
             for p in node.parents:
                 self._add_edge(p, c)

@@ -38,6 +38,25 @@ def test_reachability_from_roots(seed):
         assert len(seen) == len(gen.states), f"unreachable states at fid={fid}"
 
 
+def _edges(gen: SSGGenerator) -> list[tuple[int, list[int]]]:
+    return [(n.objset, [c.objset for c in n.children]) for n in gen.states.values()]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_shape_deterministic(seed):
+    """Two generators fed one stream in one process build the same
+    graph: equal stats and equal edge lists, in order, after every
+    frame.  Edge placement and the traversal order follow adjacency
+    order, which must not depend on the nodes' addresses."""
+    _, enc = encode_stream(bursty_stream(120, n_objects=14, dwell=20, occl=0.3, seed=seed))
+    a, b = SSGGenerator(30, 8), SSGGenerator(30, 8)
+    for fid, mask in enc:
+        a.advance(fid, mask)
+        b.advance(fid, mask)
+        assert a.stats == b.stats, f"fid={fid}"
+        assert _edges(a) == _edges(b), f"fid={fid}"
+
+
 def test_traversal_skips_disjoint_subtrees():
     """Frames about a disjoint object group must not visit the other
     group's subtree — the core SSG pruning claim (§4.3)."""

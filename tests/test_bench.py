@@ -1,6 +1,9 @@
 """Experiment-harness tests at tiny scale (REPRO_BENCH_SCALE)."""
 from __future__ import annotations
 
+import csv
+import math
+
 import pytest
 
 from repro import bench
@@ -58,6 +61,16 @@ def test_run_query_eval_prune_consistency():
     assert plain["matches"] == pruned["matches"]
 
 
+def run_points(name: str, **where) -> list[dict]:
+    """Rows of the artifact's grid points whose values are in ``where``."""
+    art = bench.ARTIFACTS[name]
+    return [
+        {**p, **art.run(**p)}
+        for p in art.grid()
+        if all(p[k] in v for k, v in where.items())
+    ]
+
+
 def test_run_query_eval_counts_evaluations():
     """One CNFEvalE call per distinct count vector: far fewer calls than
     result states, and the count reaches the figure rows."""
@@ -66,42 +79,80 @@ def test_run_query_eval_counts_evaluations():
     queries = geq_only_queries(10, n_min=1, seed=1)
     r = bench.run_query_eval(stream, queries, "mfs", w, d, prune=True)
     assert 0 < r["evaluations"] < r["matches"]
-    rows = bench.fig8_rows(datasets=("V2",), n_queries=(5,), methods=("mfs",))
+    rows = run_points("fig8", dataset=("V1",), n_queries=(10,), method=("mfs",))
     assert rows[0]["evaluations"] > 0
 
 
 def test_fig_row_functions_produce_expected_grids():
-    rows4 = bench.fig4_rows(datasets=("V2",), fractions=(0.5, 1.0), methods=("mfs",))
-    assert len(rows4) == 2 and all(r["method"] == "mfs" for r in rows4)
-    rows5 = bench.fig5_rows(datasets=("V2",), durations=(240,), methods=("naive", "ssg"))
+    rows4 = run_points("fig4", dataset=("V2",), method=("mfs",))
+    assert len(rows4) == 4 and all(r["method"] == "mfs" for r in rows4)
+    assert rows4[-1]["frames"] == bench.dataset_frames("V2")
+    rows5 = run_points("fig5", dataset=("V2",), d=(240,), method=("naive", "ssg"))
     assert {r["method"] for r in rows5} == {"naive", "ssg"}
-    rows7 = bench.fig7_rows(datasets=("M1",), p_os=(0, 2), methods=("mfs",))
+    rows7 = run_points("fig7", dataset=("M1",), p_o=(0, 2), method=("mfs",))
     assert [r["p_o"] for r in rows7] == [0, 2]
-    rows8 = bench.fig8_rows(datasets=("M2",), n_queries=(5,), methods=("ssg",))
-    assert rows8[0]["n_queries"] == 5
-    rows9 = bench.fig9_rows(datasets=("M1",), n_mins=(2,), methods=("mfs_e", "mfs_o"))
+    rows8 = run_points("fig8", dataset=("M2",), n_queries=(10,), method=("ssg",))
+    assert rows8[0]["n_queries"] == 10
+    rows9 = run_points("fig9", dataset=("M1",), n_min=(3,), method=("mfs_e", "mfs_o"))
     assert {r["method"] for r in rows9} == {"mfs_e", "mfs_o"}
     assert len({r["matches"] for r in rows9}) == 1  # _e == _o results
 
 
 def test_fig9_pruning_reduces_peak_states_at_high_nmin():
-    rows = bench.fig9_rows(datasets=("D1",), n_mins=(9,), methods=("ssg_e", "ssg_o"))
+    rows = run_points("fig9", dataset=("D1",), n_min=(9,), method=("ssg_e", "ssg_o"))
     by = {r["method"]: r for r in rows}
     assert by["ssg_o"]["peak_states"] < by["ssg_e"]["peak_states"]
     assert by["ssg_o"]["terminated"] > 0
 
 
 def test_table6_rows_shape():
-    rows = bench.table6_rows()
+    rows = bench.rows("table6")
     assert [r["dataset"] for r in rows] == list(bench.DATASET_ORDER)
     assert all(r["objects"] > 0 for r in rows)
 
 
 def test_fig10_rows_include_tracking_time():
-    rows = bench.fig10_rows(datasets=("V2",), methods=("mfs",))
+    rows = run_points("fig10", dataset=("V2",), method=("mfs",))
     assert rows[0]["track_seconds"] > 0
     assert rows[0]["sec_per_query"] > 0
     assert rows[0]["evaluations"] > 0
+
+
+# (dataset, swept parameter, method) sizes of the paper's grids
+GRID_AXES = {
+    "table6": (6,),
+    "fig4": (6, 4, 3),
+    "fig5": (6, 4, 3),
+    "fig6": (6, 4, 3),
+    "fig7": (6, 4, 3),
+    "fig8": (2, 5, 3),
+    "fig9": (4, 5, 5),
+    "fig10": (6, 3),
+}
+
+
+def test_registry_lists_every_artifact():
+    assert list(bench.ARTIFACTS) == list(GRID_AXES)
+
+
+@pytest.mark.parametrize("name", GRID_AXES)
+def test_artifact_grid_row_and_csv(name, tmp_path, monkeypatch):
+    """The grid is the product of its axes, distinct points with the
+    artifact's leading columns; the printed columns are row keys; the
+    CSV round-trips."""
+    art = bench.ARTIFACTS[name]
+    grid = art.grid()
+    assert len(grid) == math.prod(GRID_AXES[name])
+    assert len({tuple(p.items()) for p in grid}) == len(grid)
+    assert all(list(p) == list(art.columns[: len(p)]) for p in grid)
+    rows = [{**p, **art.run(**p)} for p in grid[:2]]
+    assert set(art.columns) <= set(rows[0])
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    path = bench.save_csv(rows, art.csv)
+    assert path == str(tmp_path / art.csv)
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
+    assert back == [{k: str(v) for k, v in r.items()} for r in rows]
 
 
 def test_format_rows_aligned():

@@ -1,46 +1,61 @@
-"""Smoke tests: every job entrypoint runs end to end at tiny scale."""
+"""Smoke tests: every artifact (through the registry's command line) and
+every job entrypoint runs end to end at tiny scale."""
 from __future__ import annotations
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from repro.bench import ARTIFACTS
+
 JOBS_DIR = os.path.join(os.path.dirname(__file__), "..", "jobs")
 
-PURE_PYTHON_JOBS = [
-    "fig4_frames",
-    "fig5_duration",
-    "fig6_window",
-    "fig7_occlusion",
-    "fig8_queries",
-    "fig9_nmin",
-    "gen_datasets",
-]
+COMMANDS = {
+    **{name: ["-m", "repro.bench", name] for name in ARTIFACTS},
+    "gen_datasets": [os.path.join(JOBS_DIR, "gen_datasets.py")],
+}
 
 
-@pytest.mark.parametrize("job", PURE_PYTHON_JOBS)
-def test_job_runs(job, tmp_path):
+def run_tiny(args: list[str], results_dir) -> subprocess.CompletedProcess:
     env = dict(
         os.environ,
         REPRO_BENCH_SCALE="0.04",
-        REPRO_RESULTS_DIR=str(tmp_path),
+        REPRO_RESULTS_DIR=str(results_dir),
     )
-    proc = subprocess.run(
-        [sys.executable, os.path.join(JOBS_DIR, f"{job}.py")],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=600,
     )
+
+
+@pytest.mark.parametrize("job", COMMANDS)
+def test_job_runs(job, tmp_path):
+    proc = run_tiny(COMMANDS[job], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert "===" in proc.stdout or job == "gen_datasets"
+    if job in ARTIFACTS:
+        assert f"=== {ARTIFACTS[job].title} ===" in proc.stdout
+        assert (tmp_path / ARTIFACTS[job].csv).exists()
+
+
+def test_spark_layer_job_matches_rows(tmp_path):
+    """Table 6 by Spark SQL equals the registry's, and the Figure 10
+    workload over six cameras yields match rows at the scaled window."""
+    proc = run_tiny([os.path.join(JOBS_DIR, "spark_layer.py")], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "equal by Spark SQL" in proc.stdout
+    m = re.search(r"total_match_rows=(\d+)", proc.stdout)
+    assert m and int(m.group(1)) > 0, proc.stdout[-2000:]
 
 
 def test_all_jobs_importable():
     sys.path.insert(0, os.path.abspath(os.path.join(JOBS_DIR, "..")))
-    for job in PURE_PYTHON_JOBS + ["table6_stats", "fig10_end2end"]:
+    for job in ("gen_datasets", "spark_layer"):
         mod = importlib.import_module(f"jobs.{job}")
         assert hasattr(mod, "main")
