@@ -125,6 +125,9 @@ def run_mcos(stream, method: str, w: int, d: int) -> dict:
         "visits": gen.stats["visits"],
         "expired": gen.stats["expired"],
         "refiled": gen.stats["refiled"],
+        # SSG forest maintenance; the scan methods keep no edges.
+        "edges": gen.stats.get("edges", 0),
+        "reparented": gen.stats.get("reparented", 0),
     }
 
 

@@ -76,7 +76,7 @@ class MFSGenerator:
         sr = self._sr = {m: s for m, s in self._sr.items() if s.n_live_frames(lo) >= d}
         if not objs_mask:
             return {}
-        gens = self._generators(fid, lo, objs_mask)
+        gens = self._generators(lo, objs_mask)
         states = self.states
         admit = self.admit
         for inter, glist in gens.items():
@@ -141,7 +141,7 @@ class MFSGenerator:
         del self.states[st.objset]
         self._sr.pop(st.objset, None)
 
-    def _generators(self, fid: int, lo: int, objs_mask: int) -> dict[int, list[State]]:
+    def _generators(self, lo: int, objs_mask: int) -> dict[int, list[State]]:
         """Scan: intersect every stored state with the frame, grouping
         the generator states by their intersection."""
         gens: dict[int, list[State]] = {}

@@ -1,49 +1,54 @@
 """Strict State Graph (SSG) approach to MCOS generation (paper §4.3).
 
-States are nodes of a DAG whose edges run from generating state to
-generated state, with:
+States are nodes of a forest whose edges run from a superset state to
+a subset state, with:
 
 - **Property 1**: every edge ``(p, c)`` has ``ID_c ⊂ ID_p``;
 - **Property 2**: no child of a node subsumes a sibling.
 
-The State Traversal (ST, Algorithm 1) visits the graph from its roots
-(principal states, in arrival order) for every arriving frame and
-*stops descending* whenever a state's intersection with the arriving
-object set is empty — every descendant's intersection is a subset, so
-whole subtrees are skipped.  That is the pruning that NAIVE and MFS
-(which intersect *every* stored state per frame) cannot do.
+The State Traversal (ST, Algorithm 1) visits the forest from its roots
+(the parentless states) for every arriving frame and *stops
+descending* whenever a state's intersection with the arriving object
+set is empty — every descendant's intersection is a subset, so whole
+subtrees are skipped.  That is the pruning that NAIVE and MFS (which
+intersect *every* stored state per frame) cannot do.
+
+The paper's graph is a DAG: a state hangs below every state that
+generated it and every later principal state above it.  Here a state
+has at most one parent.  By Property 1 any superset chain up to a root
+reaches a node whenever its own intersection is non-empty, so a second
+parent could add visits but never prune one; with one parent a node is
+pushed at most once per frame and needs no visit flag.
 
 SSG runs the MFS update step (:mod:`repro.core.mfs`) and differs from
 MFS in enumeration only: it overrides ``_generators`` (ST traversal),
-``_create`` (graph edges, CNPS) and ``_drop`` (node removal); expiry
+``_create`` (forest edges, CNPS) and ``_drop`` (node removal); expiry
 buckets and the Result State Set are the shared ones.  See DESIGN.md
-§5 for the mapping to the paper's pseudocode and the ambiguities
-resolved:
+§5 for the mapping to the paper's pseudocode, this deviation, and the
+ambiguities resolved:
 
 - Traversal and state update are two phases: the traversal collects,
-  per intersection value, the set of *generator* states it met
-  (exactly the states whose intersection with the frame is non-empty —
-  these are provably all states with non-empty intersection), then the
+  per intersection value, the *generator* states it met (exactly the
+  states whose intersection with the frame is non-empty), then the
   shared update step applies the MFS creation/append/marking rules
   over that generator map.  This is behaviourally identical to the
   interleaved Algorithm 1 + CNPS and makes "SSG result == MFS result"
   an exact testable property.
-- ``_add_edge`` is an idempotent Property-2-preserving insertion: a
-  new child subsumed by an existing sibling is placed below that
-  sibling (recursively); existing siblings subsumed by the new child
-  are re-parented below it (§4.3.4 "Modifying Existing Edges").
-  Applied to the new principal state over the intersection values, it
-  realises the CNPS selection (§4.3.5) in any order, without the
-  explicit descending-cardinality sort.
+- ``_add_edge`` hangs a parentless node below a superset, keeping
+  Property 2: a node subsumed by an existing child goes below that
+  child (recursively); existing children subsumed by the node move
+  below it (§4.3.4 "Modifying Existing Edges").  A new state hangs
+  below the generator the update step passes; a new principal state
+  takes every intersection state of its frame that is still a root
+  (CNPS, §4.3.5), in any order, without the descending-cardinality sort.
 - The shared expiry removes a state the frame its newest mark expires,
-  not when the traversal next meets it (``pruneState``), re-attaching
-  its children to its parents (or promoting them to roots), so the
+  not when the traversal next meets it (``pruneState``), hanging its
+  children below its parent (or promoting them to roots), so the
   traversal meets only valid nodes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Callable, Iterable
 
 from repro.core.mfs import MFSGenerator
@@ -52,17 +57,15 @@ from repro.core.model import State
 
 @dataclass(slots=True, eq=False, repr=False)
 class SSGNode(State):
-    """A state that is also a graph node: adjacency and visit flag."""
+    """A state that is also a forest node."""
 
-    # Adjacency as insertion-ordered dicts (used as sets), so that the
-    # graph's shape and the traversal order, hence ``stats``, do not
+    # Children as an insertion-ordered dict (used as a set), so that the
+    # forest's shape and the traversal order, hence ``stats``, do not
     # depend on the nodes' addresses.
     children: dict[SSGNode, None] = field(default_factory=dict)
-    parents: dict[SSGNode, None] = field(default_factory=dict)
-    flag: int = -1  # fid of the last frame that visited this node
-    seq: int = 0  # creation order; roots are traversed in order
+    parent: SSGNode | None = None
 
-    # Nodes live in each other's adjacency dicts: hash by identity.
+    # Nodes are keys of their parent's ``children``: hash by identity.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -74,83 +77,78 @@ class SSGGenerator(MFSGenerator):
 
     def __init__(self, w: int, d: int, admit: Callable[[int], bool] | None = None) -> None:
         # With ``admit`` (SSG_O) an inadmissible object set is never
-        # added to the graph — and since admissibility is monotone for
+        # added to the forest — and since admissibility is monotone for
         # >=-only workloads, none of its subsets will ever be generated
         # through it either (subtree never built).
         super().__init__(w, d, admit)
-        self.roots: dict[int, SSGNode] = {}
-        self._seq = count()
+        self.roots: dict[int, SSGNode] = {}  # objset -> parentless node
+        # Edges added, and nodes moved to a new parent (§4.3.4 moves
+        # and the children of a dropped node).
+        self.stats.update(edges=0, reparented=0)
 
     def _add_edge(self, p: SSGNode, c: SSGNode) -> None:
-        """Insert edge ``p -> c`` preserving Properties 1 and 2."""
-        if p is c:
-            return
-        for c2 in list(p.children):
-            if c2 is c:
-                return
-            if c.objset & c2.objset == c.objset:
-                # c subsumed by an existing sibling: place it deeper.
+        """Hang the parentless ``c ⊂ p`` below ``p`` or a descendant,
+        preserving Properties 1 and 2."""
+        cm = c.objset
+        for c2 in p.children:
+            if cm & c2.objset == cm:
+                # c subsumed by an existing child: place it deeper.
                 self._add_edge(c2, c)
                 return
-        for c2 in list(p.children):
-            if c2.objset & c.objset == c2.objset:
-                # existing sibling subsumed by c: re-parent (§4.3.4).
-                del p.children[c2]
-                del c2.parents[p]
-                self._add_edge(c, c2)
+        for c2 in [c2 for c2 in p.children if c2.objset & cm == c2.objset]:
+            # existing child subsumed by c: move it below c (§4.3.4).
+            del p.children[c2]
+            c2.parent = None
+            self._add_edge(c, c2)
+            self.stats["reparented"] += 1
         p.children[c] = None
-        c.parents[p] = None
-        self.roots.pop(c.objset, None)
+        c.parent = p
+        self.roots.pop(cm, None)
+        self.stats["edges"] += 1
 
     def _drop(self, node: SSGNode) -> None:
-        """Detach an invalid node, re-wiring its children."""
+        """Detach an invalid node, hanging its children below its parent."""
         super()._drop(node)
         self.roots.pop(node.objset, None)
-        for p in node.parents:
+        p = node.parent
+        if p is not None:
             del p.children[node]
         for c in node.children:
-            del c.parents[node]
-        for c in node.children:
-            for p in node.parents:
-                self._add_edge(p, c)
-            if not c.parents:
+            c.parent = None
+            if p is None:
                 self.roots[c.objset] = c
+            else:
+                self._add_edge(p, c)
+                self.stats["reparented"] += 1
 
     def _create(
         self, objset: int, frames: list[int], mark: int, parent: SSGNode | None, below: Iterable[int]
     ) -> SSGNode:
         node = super()._create(objset, frames, mark, parent, below)
-        node.seq = next(self._seq)
-        self.roots[objset] = node  # until an edge gives it a parent
-        if parent is not None:
-            # One superset parent suffices: the node is visited
-            # whenever its own intersection is non-empty because
-            # every ancestor is a superset (Property 1), so the
-            # remaining generator edges of §4.3.3 would only add
-            # redundant traversal paths, never extra pruning.
+        if parent is None:
+            # No state lies above a new principal state: a superset of
+            # the frame's object set would have generated it.
+            self.roots[objset] = node
+        else:
             self._add_edge(parent, node)
-        # CNPS: connect a new principal state above every intersection
-        # state of its frame (§4.3.5); an existing one got these edges
-        # the frame it was created.  No state lies above a new one: a
-        # superset of the frame's object set would have generated it.
+        # CNPS: a new principal state takes every intersection state of
+        # its frame that has no parent yet (§4.3.5); one created this
+        # frame hangs below its generator already.
         for inter in below:
             child = self.states.get(inter)
-            if child is not None:
+            if child is not None and child.parent is None:
                 self._add_edge(node, child)
         return node
 
-    def _generators(self, fid: int, lo: int, objs_mask: int) -> dict[int, list[SSGNode]]:
-        """ST traversal (Algorithm 1), iterative for Python-level speed."""
+    def _generators(self, lo: int, objs_mask: int) -> dict[int, list[SSGNode]]:
+        """ST traversal (Algorithm 1), breadth-first over one list that
+        grows while it is read: in a forest every node is queued at
+        most once per frame."""
         gens: dict[int, list[SSGNode]] = {}
-        stack = sorted(self.roots.values(), key=lambda n: -n.seq)
-        visits = 0
+        queue = list(self.roots.values())
+        push = queue.extend
         get_bucket = gens.get
-        while stack:
-            node = stack.pop()
-            if node.flag == fid:
-                continue
-            node.flag = fid
-            visits += 1
+        for node in queue:
             inter = node.objset & objs_mask
             if not inter:
                 continue  # descendants' intersections are subsets: skip
@@ -161,14 +159,13 @@ class SSGGenerator(MFSGenerator):
                 gens[inter] = [node]
             else:
                 bucket.append(node)
-            for c in node.children:  # push only unvisited children
-                if c.flag != fid:
-                    stack.append(c)
-        self.stats["visits"] += visits
+            if node.children:
+                push(node.children)
+        self.stats["visits"] += len(queue)
         return gens
 
     def check_invariants(self) -> None:
-        """Filing and graph invariants, asserted by tests after every frame."""
+        """Filing and forest invariants, asserted by tests after every frame."""
         super().check_invariants()
         for node in self.states.values():
             assert self.states.get(node.objset) is node
@@ -176,13 +173,15 @@ class SSGGenerator(MFSGenerator):
                 assert c.objset & node.objset == c.objset and c.objset != node.objset, (
                     "Property 1 violated"
                 )
-                assert node in c.parents
+                assert c.parent is node, "child's parent is another node"
             kids = list(node.children)
             for i, a in enumerate(kids):
                 for b in kids[i + 1 :]:
                     ab = a.objset & b.objset
                     assert ab != a.objset and ab != b.objset, "Property 2 violated"
-            if not node.parents:
-                assert node.objset in self.roots, "orphan not registered as root"
+            if node.parent is None:
+                assert self.roots.get(node.objset) is node, "parentless node not a root"
+            else:
+                assert node in node.parent.children, "node missing from its parent's children"
         for mask, node in self.roots.items():
-            assert self.states.get(mask) is node and not node.parents
+            assert self.states.get(mask) is node and node.parent is None, "root has a parent"
