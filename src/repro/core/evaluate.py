@@ -14,6 +14,10 @@ The pipeline drives one generator (NAIVE / MFS / SSG) over a
 3. a frame set is emitted for every ``(state, query)`` pair evaluated
    TRUE; each object set is decoded once, when it first matches.
 
+After each frame the codec releases the bits of objects that have left
+the window (:func:`advance_frame`); the pipeline clears them from its
+class masks and drops the cached answers of the masks that hold them.
+
 With ``prune=True`` and a ``>=``-only workload the §5.3 termination
 strategy is enabled (the ``_O`` variants): each newly generated object
 set is evaluated immediately (through the same memo), and if every
@@ -91,7 +95,8 @@ class QueryPipeline:
         self.label_of: dict[int, str] = {}
         self.prune = prune
         # One bitmask per label of ``labels``: an object's codec bit is
-        # set in its class's mask when the object is first seen.
+        # set in its class's mask when the codec assigns the bit, and
+        # cleared when the codec releases it.
         self._class_index = {label: i for i, label in enumerate(self.labels)}
         self._class_masks = [0] * len(self.labels)
         # count vector -> qids; mask -> (qids, objset); mask -> admitted
@@ -133,6 +138,14 @@ class QueryPipeline:
                 self.stats.terminated += 1
         return ok
 
+    def _forget(self, freed: int) -> None:
+        """Drop what the released bits meant: their class-mask bits, and
+        the cached answers for masks holding them (a bit may next name
+        another object)."""
+        self._class_masks = [cm & ~freed for cm in self._class_masks]
+        self._match_cache = {m: v for m, v in self._match_cache.items() if not m & freed}
+        self._admit_cache = {m: v for m, v in self._admit_cache.items() if not m & freed}
+
     # -- streaming ------------------------------------------------------
     def feed(self, fid: int, objects: Iterable[tuple[int, str]]) -> list[MatchRow]:
         """Process one frame; return the query hits for its window.
@@ -146,7 +159,9 @@ class QueryPipeline:
                 f"frames must arrive in increasing fid order: {fid} after {self._last_fid}"
             )
         label_of = self.label_of
+        codec = self.codec
         fresh: dict[int, str] = {}
+        unassigned: dict[int, str] = {}
         keep = []
         for oid, label in objects:
             if label in self._class_index:
@@ -158,13 +173,16 @@ class QueryPipeline:
                     raise ValueError(
                         f"object {oid} seen with classes {prev!r} and {label!r}"
                     )
+                if oid not in codec:
+                    unassigned[oid] = label
                 keep.append(oid)
         self._last_fid = fid
-        for oid, label in fresh.items():
-            label_of[oid] = label
-            self._class_masks[self._class_index[label]] |= self.codec.encode_one(oid)
-        mask = self.codec.encode_iter(keep)
-        self.gen.advance(fid, mask)
+        label_of.update(fresh)
+        for oid, label in unassigned.items():
+            self._class_masks[self._class_index[label]] |= codec.encode_one(oid)
+        freed = advance_frame(self.gen, codec, fid, keep)
+        if freed:
+            self._forget(freed)
         rows: list[MatchRow] = []
         results = self.gen.results()
         self.stats.frames += 1
@@ -176,6 +194,15 @@ class QueryPipeline:
                 rows += [MatchRow(fid, qid, objset, n) for qid in qids]
         self.stats.matches += len(rows)
         return rows
+
+
+def advance_frame(gen, codec: ObjSetCodec, fid: int, oids: Iterable[int]) -> int:
+    """Encode one frame, advance the generator over it, then release the
+    codec bits no stored state can hold any more; returns the freed
+    mask.  The release must follow ``advance``, whose expiry it relies
+    on (see :meth:`ObjSetCodec.release`)."""
+    gen.advance(fid, codec.encode_iter(oids))
+    return codec.release(fid, gen.win.lo(fid))
 
 
 def evaluate_stream(
@@ -207,5 +234,5 @@ def mcos_stream(
     codec = ObjSetCodec()
     gen = make_generator(method, w, d)
     for fid, oids in iter_frames(frames):
-        gen.advance(fid, codec.encode_iter(oids))
+        advance_frame(gen, codec, fid, oids)
         yield fid, {codec.decode(m): fr for m, fr in gen.results().items()}

@@ -34,13 +34,21 @@ from typing import Iterable, Iterator
 class ObjSetCodec:
     """Bidirectional mapping between object ids and bitmask positions.
 
-    Object ids from the tracker are arbitrary ints; bits are assigned
-    densely in first-seen order so masks stay small.
+    Object ids from the tracker are arbitrary ints.  An unknown id takes
+    the lowest free bit, or a new bit above all others when none is
+    free.  Bits are recycled: every encoded mask is OR-ed into ``seen``,
+    and ``release`` frees the bits of the objects seen in no frame since
+    the previous release, once those frames cover the whole window.  So
+    the mask width follows the objects of the last two windows, not
+    every object of the stream.
     """
 
     def __init__(self) -> None:
         self._bit_of: dict[int, int] = {}
         self._oid_of: list[int] = []
+        self._free = 0  # mask of the released bits not yet reassigned
+        self._seen = 0  # OR of the masks encoded since the last release
+        self._released: int | None = None  # fid of the last release
 
     def encode_iter(self, oids: Iterable[int]) -> int:
         """Bitmask for a collection of object ids (assigning new bits)."""
@@ -49,11 +57,51 @@ class ObjSetCodec:
         for oid in oids:
             b = bit_of.get(oid)
             if b is None:
-                b = len(self._oid_of)
-                bit_of[oid] = b
-                self._oid_of.append(oid)
+                b = self._assign(oid)
             mask |= 1 << b
+        self._seen |= mask
         return mask
+
+    def _assign(self, oid: int) -> int:
+        free = self._free
+        if free:
+            low = free & -free
+            self._free = free ^ low
+            b = low.bit_length() - 1
+            self._oid_of[b] = oid
+        else:
+            b = len(self._oid_of)
+            self._oid_of.append(oid)
+        self._bit_of[oid] = b
+        return b
+
+    def release(self, fid: int, lo: int) -> int:
+        """Free the bits of the objects encoded in no frame since the
+        previous release; returns the freed mask.
+
+        Call it after the generator has advanced to frame ``fid`` with
+        window low bound ``lo``.  Every stored state then lies inside a
+        frame in ``[lo, fid]``, so once the frames encoded since the
+        previous release cover that range (``lo`` is past it), no live
+        mask holds a freed bit.  Until then nothing is freed.
+        """
+        if self._released is not None and lo <= self._released:
+            return 0
+        freed = ((1 << len(self._oid_of)) - 1) & ~self._free & ~self._seen
+        self._free |= freed
+        self._seen = 0
+        self._released = fid
+        bit_of, oid_of = self._bit_of, self._oid_of
+        rest = freed
+        while rest:
+            low = rest & -rest
+            del bit_of[oid_of[low.bit_length() - 1]]
+            rest ^= low
+        return freed
+
+    def __contains__(self, oid: int) -> bool:
+        """Whether ``oid`` holds a bit now."""
+        return oid in self._bit_of
 
     def encode_one(self, oid: int) -> int:
         """Bitmask with only ``oid``'s bit set."""
@@ -73,6 +121,7 @@ class ObjSetCodec:
         return tuple(sorted(out))
 
     def __len__(self) -> int:
+        """Mask width: the bits ever assigned, free ones included."""
         return len(self._oid_of)
 
 

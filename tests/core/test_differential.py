@@ -15,9 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import brute
-from repro.core.evaluate import make_generator
+from repro.core.evaluate import MatchRow, QueryPipeline, make_generator, mcos_stream
 from repro.core.model import ObjSetCodec
-from tests.core.util import bursty_stream, encode_stream, random_stream
+from repro.core.queries import Condition, Query
+from tests.core.util import (
+    bursty_stream,
+    churn_stream,
+    encode_stream,
+    most_objects_in,
+    random_stream,
+)
 
 METHODS = ["naive", "mfs", "ssg"]
 
@@ -155,3 +162,85 @@ def check_marks(method, seed):
                 f"method={method} fid={fid} state={codec.decode(smask)}: newest mark "
                 f"{st_.mark} != validity threshold {fstar}"
             )
+
+
+# ----------------------------------------------------------------------
+# Bit recycling: the codec frees the bits of objects that left the window
+# ----------------------------------------------------------------------
+# Odd oids are cars, even ones people.  ANY matches every non-empty
+# object set; PAIRS is >=-only, so it also runs with §5.3 pruning, whose
+# admission answers depend on the classes behind the bits.
+ANY = [Query(0, ((Condition("car", ">=", 1), Condition("person", ">=", 1)),))]
+PAIRS = [Query(0, ((Condition("car", ">=", 2),),)), Query(1, ((Condition("person", ">=", 3),),))]
+
+
+def pairs_qids(objset) -> list[int]:
+    cars = sum(o % 2 for o in objset)
+    return [qid for qid, ok in ((0, cars >= 2), (1, len(objset) - cars >= 3)) if ok]
+
+
+def run_recycling(stream, w, d):
+    """Drive ``mcos_stream`` and ``QueryPipeline``s (unpruned, and pruned)
+    of every method over a stream whose objects come and go, checking
+    every frame against the oracle (on masks of a codec that never
+    releases a bit).  The pipelines' codec width must stay within the
+    most distinct objects of any 2w consecutive frames, and below the
+    stream's object count."""
+    ref, enc = encode_stream(stream)
+    gens = {m: mcos_stream(stream, w=w, d=d, method=m) for m in METHODS}
+    pipes = {
+        (m, prune): QueryPipeline(PAIRS if prune else ANY, w=w, d=d, method=m, prune=prune)
+        for m in METHODS
+        for prune in (False, True)
+    }
+    bound = most_objects_in(stream, 2 * w)
+    window: list[tuple[int, int]] = []
+    for (fid, oids), (_, mask) in zip(stream, enc):
+        window.append((fid, mask))
+        while window[0][0] < fid - w + 1:
+            window.pop(0)
+        objs = [(o, "car" if o % 2 else "person") for o in oids]
+        want = {ref.decode(m): fr for m, fr in brute.satisfied_states(window, d).items()}
+        for method in METHODS:
+            assert next(gens[method]) == (fid, want), f"mcos_stream {method} fid={fid}"
+        for (method, prune), pipe in pipes.items():
+            rows = pipe.feed(fid, objs)
+            pipe.gen.check_invariants()
+            got = {pipe.codec.decode(m): fr for m, fr in pipe.gen.results().items()}
+            qids = pairs_qids if prune else (lambda x: [0])
+            assert got == {x: fr for x, fr in want.items() if qids(x) or not prune}, (
+                f"pipeline {method} prune={prune} fid={fid}"
+            )
+            assert sorted(rows) == sorted(
+                MatchRow(fid, q, x, len(fr)) for x, fr in got.items() for q in qids(x)
+            ), f"pipeline {method} prune={prune} fid={fid}"
+            assert len(pipe.codec) <= bound, f"{method} fid={fid}: width {len(pipe.codec)}"
+    n_objects = len({o for _, oids in stream for o in oids})
+    assert {len(p.codec) for p in pipes.values()} == {len(pipes["mfs", False].codec)} and (
+        len(pipes["mfs", False].codec) < n_objects
+    ), "no bit was recycled: weak test"
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("w,d", [(4, 2), (6, 3), (10, 1)])
+def test_recycling_short_lived_objects(seed, w, d):
+    run_recycling(churn_stream(120, arrivals=1.3, dwell=4, seed=seed), w, d)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recycling_with_empty_frames(seed):
+    run_recycling(churn_stream(120, dwell=5, p_empty=0.3, seed=seed), 5, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("w,d", [(4, 2), (7, 3)])
+def test_recycling_with_fid_gaps(seed, w, d):
+    """Fids skip by 1, 2, 3, w+1 or 2w+5, so a release can come long
+    after the frames whose objects it keeps."""
+    rng = random.Random(seed)
+    fid = 0
+    stream = []
+    for _, objs in churn_stream(120, arrivals=1.3, dwell=4, seed=seed):
+        stream.append((fid, objs))
+        fid += rng.choice((1, 1, 1, 2, 3, w + 1, 2 * w + 5))
+    run_recycling(stream, w, d)

@@ -6,7 +6,10 @@ its ``GroupState`` between micro-batches.  At the paper's window
 unpickled at mid-stream and fed the rest of the stream next to an
 uninterrupted one; every frame's rows and Result State Set must be
 equal.  M1 yields no rows at these settings, so ``results()`` is what
-checks it.
+checks it.  The codec width and the sizes of the two mask-keyed caches
+must be equal too: ``mid`` is past ``w``, so the codec has released bits
+before the pickle, and the resumed pipeline must keep the same release
+schedule.
 """
 from __future__ import annotations
 
@@ -27,9 +30,16 @@ def test_pickled_pipeline_resumes_mid_stream(dataset, method):
     ref = QueryPipeline(fig10_queries()[:10], w=DEFAULT_W, d=DEFAULT_D, method=method)
     for fid, objs in stream[:mid]:
         ref.feed(fid, objs)
+    assert mid > DEFAULT_W
     pipe = pickle.loads(pickle.dumps(ref))
     pipe.gen.check_invariants()
     for fid, objs in stream[mid:]:
         assert pipe.feed(fid, objs) == ref.feed(fid, objs), f"fid={fid}"
         assert pipe.gen.results() == ref.gen.results(), f"fid={fid}"
+        assert sizes(pipe) == sizes(ref), f"fid={fid}"
     assert pipe.stats == ref.stats
+
+
+def sizes(pipe: QueryPipeline) -> tuple[int, int, int]:
+    """Codec width and the entries of the two mask-keyed caches."""
+    return len(pipe.codec), len(pipe._match_cache), len(pipe._admit_cache)

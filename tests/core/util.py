@@ -63,3 +63,56 @@ def bursty_stream(
         ]
         out.append((fid, objs))
     return out
+
+
+def churn_stream(
+    n_frames: int,
+    *,
+    arrivals: float = 1.0,
+    dwell: int = 4,
+    occl: float = 0.15,
+    p_empty: float = 0.0,
+    p_return: float = 0.2,
+    seed: int = 0,
+) -> list[tuple[int, list[int]]]:
+    """Many short-lived objects: about ``arrivals`` objects enter per
+    frame and stay for about ``dwell`` frames.  A share ``p_return`` of
+    the entrants is an object that left long ago, under its old id."""
+    rng = random.Random(seed)
+    live: dict[int, int] = {}  # oid -> last frame of its stay
+    gone: list[int] = []
+    next_oid = 0
+    out = []
+    for fid in range(n_frames):
+        n_new = int(arrivals) + (rng.random() < arrivals % 1)
+        for _ in range(n_new):
+            if gone and rng.random() < p_return:
+                oid = gone.pop(rng.randrange(len(gone)))
+            else:
+                oid, next_oid = next_oid, next_oid + 1
+            live[oid] = fid + int(rng.expovariate(1 / dwell))
+        if rng.random() < p_empty:
+            objs = []
+        else:
+            objs = sorted(o for o in live if rng.random() > occl)
+        out.append((fid, objs))
+        for oid in [o for o, end in live.items() if end <= fid]:
+            del live[oid]
+            gone.append(oid)
+    return out
+
+
+def most_objects_in(frames: list[tuple[int, list[int]]], span: int) -> int:
+    """Most distinct objects in any ``span`` consecutive frames."""
+    count: dict[int, int] = {}
+    best = 0
+    for i, (_, oids) in enumerate(frames):
+        for o in set(oids):
+            count[o] = count.get(o, 0) + 1
+        if i >= span:
+            for o in set(frames[i - span][1]):
+                count[o] -= 1
+                if not count[o]:
+                    del count[o]
+        best = max(best, len(count))
+    return best
