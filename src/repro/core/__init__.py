@@ -1,5 +1,5 @@
 """The paper's primary contribution: MCOS generation (NAIVE / MFS / SSG)
-and CNF query evaluation (CNFEval / CNFEvalE) over video object streams.
+and CNF query evaluation (CNFEvalE) over video object streams.
 
 Layer map (paper section -> module):
 
@@ -8,7 +8,7 @@ Layer map (paper section -> module):
   the update step all methods share         -> :mod:`repro.core.mfs`
 - Section 4.3 Strict State Graph (SSG/ST)   -> :mod:`repro.core.ssg`
 - Section 6.2 NAIVE baseline                -> :mod:`repro.core.naive`
-- Section 5 CNFEval / CNFEvalE              -> :mod:`repro.core.cnf`
+- Section 5.2 CNFEvalE                      -> :mod:`repro.core.cnf`
 - Section 5.2/5.3 coupling + pruning        -> :mod:`repro.core.evaluate`
 - from-definition test oracle               -> :mod:`repro.core.brute`
 

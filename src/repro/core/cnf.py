@@ -1,148 +1,25 @@
-"""CNF evaluation via inverted indexes (paper §5.1–§5.2).
+"""CNFEvalE: CNF evaluation via inverted indexes (paper §5.2).
 
-Two engines:
+The paper extends the set-membership index of Whang et al. [24]
+(summarised in §5.1) to inequality conditions: three indexes keyed by
+label for ``>=``, ``<=`` and ``==``, each key holding a value-ordered
+posting list, scanned in order up to the input count.  A query is true
+when every one of its disjunctions has a retrieved posting.
 
-- :class:`CNFEval` — the set-membership (``∈`` / ``∉``) algorithm of
-  Whang et al. [24] as summarised in §5.1: one inverted index from
-  ``(name, value)`` keys to posting lists of ``(qid, predicate,
-  disjId)`` triplets; a query is true when every disjunction is
-  covered by the retrieved postings (``∉`` conditions are satisfied by
-  default and *cancelled* by a matching input pair).
-- :class:`CNFEvalE` — the paper's extension for inequality conditions
-  (§5.2): three indexes keyed by label for ``>=``, ``<=`` and ``==``,
-  each key holding a value-ordered posting list, scanned in order up
-  to the input count.
-
-Both return the set of satisfied query ids for a given input; the
-video pipeline feeds :class:`CNFEvalE` the per-class object counts of
-each MCOS (zero-filled over the query label universe, so ``<= n`` and
-``== 0`` conditions see absent classes correctly).
+The video pipeline feeds :class:`CNFEvalE` the per-class object counts
+of each MCOS, zero-filled over the query label universe
+(:func:`repro.core.queries.query_labels`), so ``<= n`` and ``== 0``
+conditions see absent classes correctly.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from repro.core.queries import Query
 
 
-# ----------------------------------------------------------------------
-# CNFEval: set-membership predicates (Whang et al. [24])
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SetCondition:
-    """``name ∈ values`` (pred ``'in'``) or ``name ∉ values`` (``'notin'``)."""
-
-    name: str
-    pred: str  # 'in' | 'notin'
-    values: frozenset
-
-    def __post_init__(self) -> None:
-        if self.pred not in ("in", "notin"):
-            raise ValueError(f"pred must be 'in' or 'notin', got {self.pred!r}")
-        if not self.values:
-            raise ValueError("value set must be non-empty")
-
-    def holds(self, value) -> bool:
-        present = value in self.values
-        return present if self.pred == "in" else not present
-
-
-@dataclass(frozen=True)
-class SetQuery:
-    """CNF over set-membership conditions; input is name->value pairs."""
-
-    qid: int
-    cnf: tuple[tuple[SetCondition, ...], ...]
-
-    def holds(self, pairs: dict[str, Hashable]) -> bool:
-        """Reference evaluation (oracle).  A ``∉`` condition on a name
-        absent from the input is vacuously true (nothing matches)."""
-        out = []
-        for disj in self.cnf:
-            ok = False
-            for c in disj:
-                if c.name in pairs:
-                    ok = ok or c.holds(pairs[c.name])
-                else:
-                    ok = ok or (c.pred == "notin")
-            out.append(ok)
-        return all(out)
-
-
-class CNFEval:
-    """Inverted index over ``(name, value)`` keys with triplet postings."""
-
-    def __init__(self, queries: Iterable[SetQuery] = ()) -> None:
-        # (name, value) -> list of (qid, cid, disj_id, pred)
-        self._index: dict[tuple, list[tuple[int, int, int, str]]] = defaultdict(list)
-        # qid -> number of disjunctions
-        self._n_disj: dict[int, int] = {}
-        # default-true bookkeeping for ∉: (qid, disj) covered unless every
-        # notin condition in it is violated; cid distinguishes conditions.
-        self._notin_conds: dict[tuple[int, int], set[int]] = defaultdict(set)
-        self._cid = 0
-        for q in queries:
-            self.add(q)
-
-    def add(self, q: SetQuery) -> None:
-        if q.qid in self._n_disj:
-            raise ValueError(f"duplicate qid {q.qid}")
-        self._n_disj[q.qid] = len(q.cnf)
-        for disj_id, disj in enumerate(q.cnf):
-            for cond in disj:
-                cid = self._cid
-                self._cid += 1
-                for v in cond.values:
-                    self._index[(cond.name, v)].append((q.qid, cid, disj_id, cond.pred))
-                if cond.pred == "notin":
-                    self._notin_conds[(q.qid, disj_id)].add(cid)
-
-    def remove(self, qid: int) -> None:
-        """Dynamic maintenance: drop a query's postings."""
-        if qid not in self._n_disj:
-            raise KeyError(qid)
-        del self._n_disj[qid]
-        for key in list(self._index):
-            kept = [t for t in self._index[key] if t[0] != qid]
-            if kept:
-                self._index[key] = kept
-            else:
-                del self._index[key]
-        for key in [k for k in self._notin_conds if k[0] == qid]:
-            del self._notin_conds[key]
-
-    def evaluate(self, pairs: dict[str, Hashable]) -> set[int]:
-        """Set of qids whose CNF is satisfied by the name->value input."""
-        satisfied: set[tuple[int, int]] = set()
-        violated: dict[tuple[int, int], set[int]] = defaultdict(set)
-        for name, value in pairs.items():
-            for qid, cid, disj_id, pred in self._index.get((name, value), ()):
-                if pred == "in":
-                    satisfied.add((qid, disj_id))
-                else:
-                    violated[(qid, disj_id)].add(cid)
-        out = set()
-        for qid, n_disj in self._n_disj.items():
-            n_ok = 0
-            for disj_id in range(n_disj):
-                key = (qid, disj_id)
-                if key in satisfied:
-                    n_ok += 1
-                    continue
-                notins = self._notin_conds.get(key)
-                if notins and len(violated.get(key, ())) < len(notins):
-                    n_ok += 1  # some ∉ condition survived: default-true
-            if n_ok == n_disj:
-                out.add(qid)
-        return out
-
-
-# ----------------------------------------------------------------------
-# CNFEvalE: inequality predicates over class counts (paper §5.2)
-# ----------------------------------------------------------------------
 class CNFEvalE:
     """Three value-ordered inverted indexes (>=, <=, ==) per label."""
 
@@ -154,7 +31,6 @@ class CNFEvalE:
         self._leq: dict[str, list[tuple[int, int, int]]] = defaultdict(list)
         self._eq: dict[tuple[str, int], list[tuple[int, int]]] = defaultdict(list)
         self._n_disj: dict[int, int] = {}
-        self._labels: set[str] = set()
         for q in queries:
             self.add(q)
 
@@ -164,7 +40,6 @@ class CNFEvalE:
         self._n_disj[q.qid] = len(q.cnf)
         for disj_id, disj in enumerate(q.cnf):
             for cond in disj:
-                self._labels.add(cond.label)
                 if cond.op == ">=":
                     self._geq[cond.label].append((cond.n, q.qid, disj_id))
                 elif cond.op == "<=":
@@ -176,16 +51,13 @@ class CNFEvalE:
         for lst in self._leq.values():
             lst.sort()
 
-    @property
-    def labels(self) -> set[str]:
-        """Label universe — callers zero-fill counts over this set."""
-        return set(self._labels)
-
     def evaluate(self, counts: dict[str, int]) -> set[int]:
         """qids satisfied by per-label counts.
 
-        ``counts`` must cover every label in :attr:`labels` (zero for
-        absent classes) — the pipeline guarantees this.
+        ``counts`` must cover every label the queries name (zero for
+        absent classes): a label missing from ``counts`` satisfies none
+        of its conditions, not even ``<= n``.  The pipeline zero-fills
+        over ``query_labels``.
         """
         satisfied: set[tuple[int, int]] = set()
         for label, v in counts.items():

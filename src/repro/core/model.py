@@ -153,10 +153,6 @@ class State:
         if fr and fr[0] < lo:
             del fr[: bisect_left(fr, lo)]
 
-    def is_valid(self, lo: int) -> bool:
-        """Valid iff the newest mark is inside the window (Thm 1/4)."""
-        return self.mark >= lo
-
     def n_live_frames(self, lo: int) -> int:
         """``|F_s ∩ window|`` without mutating the state."""
         fr = self.frames

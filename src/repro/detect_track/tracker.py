@@ -91,10 +91,6 @@ class Tracker:
         self._tracks = [t for t in self._tracks if fid - t.last_seen <= cfg.max_age]
         return out
 
-    @property
-    def n_tracks_created(self) -> int:
-        return self._next_tid
-
 
 def run_pipeline(
     scene: Scene | Iterable[tuple[int, list[GTObject]]],

@@ -21,13 +21,12 @@ from typing import Iterable
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.evaluate import QueryPipeline, mcos_stream
+from repro.core.evaluate import QueryPipeline
 from repro.core.queries import Query
 
 RESULT_SCHEMA = (
     "camera string, fid long, qid long, objset string, n_frames long"
 )
-MCOS_SCHEMA = "camera string, fid long, objset string, n_frames long"
 
 EMPTY_FRAME_OID = -1
 
@@ -46,10 +45,18 @@ def frames_by_fid(pdfs: Iterable[pd.DataFrame]) -> dict[int, list[tuple[int, str
 
 def _frames_of_group(pdf: pd.DataFrame, n_frames: int | None) -> Iterable[tuple[int, list[tuple[int, str]]]]:
     """Yield ``(fid, [(oid, cls), ...])`` for every frame, in order,
-    including empty frames up to ``n_frames`` (or max fid seen)."""
+    including empty frames up to ``n_frames`` (or max fid seen).
+
+    A row whose fid lies outside ``[0, n_frames)`` raises ``ValueError``
+    rather than being dropped: the streaming path would process it."""
     by_fid = frames_by_fid([pdf])
-    hi = (n_frames - 1) if n_frames is not None else (max(by_fid) if by_fid else -1)
-    for fid in range(hi + 1):
+    end = n_frames if n_frames is not None else max(by_fid, default=-1) + 1
+    bad = sorted(fid for fid in by_fid if not 0 <= fid < end)
+    if bad:
+        raise ValueError(
+            f"camera {pdf['camera'].iloc[0]!r}: fid {bad[0]} outside [0, {end})"
+        )
+    for fid in range(end):
         yield fid, by_fid.get(fid, [])
 
 
@@ -66,7 +73,7 @@ def evaluate_queries_batch(
     """Match rows ``(camera, fid, qid, objset, n_frames)`` per §5.2.
 
     ``objset`` is the MCOS as a comma-joined oid string (kept scalar so
-    results stay orderable for the DuckDB oracle)."""
+    result rows stay orderable and comparable)."""
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         camera = str(pdf["camera"].iloc[0])
@@ -83,29 +90,3 @@ def evaluate_queries_batch(
 
     return vr_df.groupBy("camera").applyInPandas(run, RESULT_SCHEMA)
 
-
-def mcos_batch(
-    vr_df: DataFrame,
-    *,
-    w: int,
-    d: int,
-    method: str = "ssg",
-    n_frames: int | None = None,
-) -> DataFrame:
-    """Query-less MCOS generation (§6.2): the satisfied Result State
-    Set per frame as ``(camera, fid, objset, n_frames)`` rows."""
-
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        camera = str(pdf["camera"].iloc[0])
-        frames = (
-            (fid, [oid for oid, _ in objs])
-            for fid, objs in _frames_of_group(pdf, n_frames)
-        )
-        rows = [
-            (camera, fid, ",".join(map(str, objset)), len(fr))
-            for fid, result in mcos_stream(frames, w=w, d=d, method=method)
-            for objset, fr in result.items()
-        ]
-        return pd.DataFrame(rows, columns=["camera", "fid", "objset", "n_frames"])
-
-    return vr_df.groupBy("camera").applyInPandas(run, MCOS_SCHEMA)

@@ -2,15 +2,14 @@
 
 ``VR(camera, fid, oid, cls)`` is the output of the detection/tracking
 layer (paper §3).  ``TABLE6_SQL`` computes the dataset statistics of
-the paper's Table 6 per camera; the same SQL string runs on DuckDB in
-tests via ``repro.oracle.assert_equivalent``, so the Spark plan is
-checked for result correctness, not just execution.
+the paper's Table 6 per camera; the tests run the same SQL string on
+DuckDB over the same input, so the Spark plan is checked for result
+correctness, not just execution.
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 VR_SCHEMA = T.StructType(
@@ -77,35 +76,3 @@ def table6_stats(
     ).createOrReplaceTempView("vr_len")
     return spark.sql(TABLE6_SQL)
 
-
-def class_counts_per_frame(vr_df: DataFrame) -> DataFrame:
-    """Per-frame per-class object counts — the aggregate the query
-    layer consumes (paper §5.2 step 2a), at relation level."""
-    return (
-        vr_df.groupBy("camera", "fid", "cls")
-        .agg(F.count_distinct("oid").alias("n"))
-    )
-
-
-def full_presence_mcos(vr_df: DataFrame, w: int) -> DataFrame:
-    """The ``d = w`` special case, expressible in pure SQL: for every
-    window ending at ``fid``, the objects present in *all* ``w`` frames
-    of the window — i.e. the unique MCOS with full support.  Used as a
-    relational oracle for the state-machine pipelines.
-
-    Note this counts only windows whose ``w`` frames all contain the
-    object, which matches the generators' output exactly when every
-    frame in the window is non-empty.
-    """
-    spark = vr_df.sparkSession
-    vr_df.createOrReplaceTempView("vr_fp")
-    return spark.sql(f"""
-        SELECT a.camera AS camera, a.fid AS win_end, b.oid AS oid
-        FROM (SELECT DISTINCT camera, fid FROM vr_fp) a
-        JOIN vr_fp b
-          ON a.camera = b.camera
-         AND b.fid BETWEEN a.fid - {w - 1} AND a.fid
-        WHERE a.fid >= {w - 1}
-        GROUP BY a.camera, a.fid, b.oid
-        HAVING COUNT(DISTINCT b.fid) = {w}
-    """)

@@ -1,8 +1,8 @@
-"""CNFEval (set predicates) and CNFEvalE (inequality predicates) tests.
+"""CNFEvalE (inequality predicates) tests.
 
-Both engines are diffed against direct CNF evaluation over randomized
-query sets and inputs, plus the paper's worked examples (q1 of §5.1,
-q2 / Tables 4-5 of §5.2).
+The engine is diffed against direct CNF evaluation over randomized
+query sets and inputs, plus the paper's worked example (q2 / Tables
+4-5 of §5.2).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cnf import CNFEval, CNFEvalE, SetCondition, SetQuery
+from repro.core.cnf import CNFEvalE
 from repro.core.queries import (
     LABELS,
     Condition,
@@ -24,28 +24,8 @@ from repro.core.queries import (
 
 
 # ----------------------------------------------------------------------
-# paper worked examples
+# paper worked example
 # ----------------------------------------------------------------------
-def test_paper_q1_set_query():
-    """q1 = age ∈ {2,3} ∧ (state ∈ {CA} ∨ gender ∈ {F}) — §5.1."""
-    q1 = SetQuery(
-        1,
-        (
-            (SetCondition("age", "in", frozenset({2, 3})),),
-            (
-                SetCondition("state", "in", frozenset({"CA"})),
-                SetCondition("gender", "in", frozenset({"F"})),
-            ),
-        ),
-    )
-    ev = CNFEval([q1])
-    assert ev.evaluate({"age": 3, "gender": "F"}) == {1}
-    assert ev.evaluate({"age": 2, "state": "CA"}) == {1}
-    assert ev.evaluate({"age": 4, "gender": "F"}) == set()
-    assert ev.evaluate({"age": 3, "gender": "M"}) == set()
-    assert ev.evaluate({"gender": "F"}) == set()
-
-
 def test_paper_q2_inequality_query():
     """q2 = (car>=2 ∨ person<=3) ∧ (car>=3 ∨ person>=2) ∧ (car<=5) — §5.2."""
     q2 = Query(
@@ -63,39 +43,6 @@ def test_paper_q2_inequality_query():
     assert ev.evaluate({"car": 1, "person": 4}) == set()  # first disj fails
     assert ev.evaluate({"car": 0, "person": 2}) == {2}
     assert ev.evaluate({"car": 0, "person": 5}) == set()
-
-
-def test_notin_predicates():
-    q = SetQuery(
-        7,
-        (
-            (SetCondition("color", "notin", frozenset({"red", "blue"})),),
-            (
-                SetCondition("size", "in", frozenset({1})),
-                SetCondition("shape", "notin", frozenset({"round"})),
-            ),
-        ),
-    )
-    ev = CNFEval([q])
-    assert ev.evaluate({"color": "green", "shape": "square", "size": 0}) == {7}
-    assert ev.evaluate({"color": "red", "shape": "square", "size": 0}) == set()
-    assert ev.evaluate({"color": "green", "shape": "round", "size": 1}) == {7}
-    assert ev.evaluate({"color": "green", "shape": "round", "size": 0}) == set()
-    # absent names: ∉ vacuously true, ∈ false
-    assert ev.evaluate({}) == {7}
-
-
-def test_cnfeval_dynamic_remove():
-    qs = [
-        SetQuery(0, ((SetCondition("a", "in", frozenset({1})),),)),
-        SetQuery(1, ((SetCondition("a", "in", frozenset({1})),),)),
-    ]
-    ev = CNFEval(qs)
-    assert ev.evaluate({"a": 1}) == {0, 1}
-    ev.remove(0)
-    assert ev.evaluate({"a": 1}) == {1}
-    with pytest.raises(KeyError):
-        ev.remove(0)
 
 
 def test_duplicate_qid_rejected():
@@ -118,32 +65,6 @@ def test_cnfevale_random_differential(seed):
         counts = {label: rng.randint(0, 7) for label in labels}
         want = {q.qid for q in queries if q.holds(counts)}
         assert ev.evaluate(counts) == want
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_cnfeval_random_differential(seed):
-    rng = random.Random(seed)
-    names = ["a", "b", "c"]
-    vals = [0, 1, 2, 3]
-    queries = []
-    for qid in range(20):
-        cnf = tuple(
-            tuple(
-                SetCondition(
-                    rng.choice(names),
-                    rng.choice(["in", "notin"]),
-                    frozenset(rng.sample(vals, rng.randint(1, 3))),
-                )
-                for _ in range(rng.randint(1, 2))
-            )
-            for _ in range(rng.randint(1, 3))
-        )
-        queries.append(SetQuery(qid, cnf))
-    ev = CNFEval(queries)
-    for _ in range(50):
-        pairs = {n: rng.choice(vals) for n in names if rng.random() < 0.8}
-        want = {q.qid for q in queries if q.holds(pairs)}
-        assert ev.evaluate(pairs) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,5 +107,3 @@ def test_condition_validation():
         Condition("car", ">=", -1)
     with pytest.raises(ValueError):
         Query(0, ())
-    with pytest.raises(ValueError):
-        SetCondition("a", "in", frozenset())

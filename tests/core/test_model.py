@@ -47,8 +47,6 @@ def test_codec_intersection_semantics():
 # ----------------------------------------------------------------------
 def test_state_expiry_and_validity():
     s = State(0b1, [3, 5, 8, 9], 8)
-    assert s.is_valid(4) and s.is_valid(8)
-    assert not s.is_valid(9)
     assert s.n_live_frames(6) == 2
     assert s.live_frames(6) == [8, 9]
     s.expire(6)
@@ -61,10 +59,6 @@ def test_state_append_frame_dedups_tail():
     s.append_frame(4)
     s.append_frame(6)
     assert s.frames == [4, 6]
-
-
-def test_state_no_marks_never_valid():
-    assert not State(0b1, [1, 2]).is_valid(0)
 
 
 # ----------------------------------------------------------------------

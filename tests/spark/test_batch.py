@@ -4,11 +4,11 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from repro.core.evaluate import evaluate_stream
+from repro.core.evaluate import evaluate_stream, mcos_stream
 from repro.core.queries import Condition, Query, geq_only_queries, random_cnf_queries
-from repro.oracle import assert_equivalent
-from repro.spark.batch import evaluate_queries_batch, mcos_batch
+from repro.spark.batch import _frames_of_group, evaluate_queries_batch
 from repro.spark.relation import vr_to_spark
+from tests.oracle import assert_equivalent
 from tests.spark.util import synthetic_vr
 
 N_FRAMES = 60
@@ -81,23 +81,22 @@ def test_batch_pruned_matches_unpruned(spark, vr_pdf):
     assert a == b
 
 
-def test_mcos_batch_d_equals_w_sql_oracle(spark):
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+def test_mcos_stream_d_equals_w_sql_oracle(method):
     """For ``d = w`` the satisfied MCOS per window is exactly the set
     of objects present in all ``w`` frames — checked in pure SQL via
     the DuckDB oracle (gap-free stream so windows are well-defined)."""
-    vr_pdf = synthetic_vr(n_frames=40, p_gap=0.0, seed=11)
-    w = 6
-    got = mcos_batch(vr_to_spark(spark, vr_pdf), w=w, d=w, method="ssg", n_frames=40)
-    # explode our objset string back to (camera, win_end, oid) rows
-    exploded = []
-    for r in got.collect():
-        for oid in r.objset.split(","):
-            exploded.append((r.camera, r.fid, int(oid)))
-    got_df = spark.createDataFrame(
-        pd.DataFrame(exploded, columns=["camera", "win_end", "oid"])
-    )
+    n, w = 40, 6
+    vr_pdf = synthetic_vr(n_frames=n, p_gap=0.0, seed=11)
+    rows = []
+    for camera, grp in vr_pdf.groupby("camera"):
+        by_fid = grp.groupby("fid")["oid"].apply(list).to_dict()
+        frames = ((fid, by_fid.get(fid, [])) for fid in range(n))
+        for fid, result in mcos_stream(frames, w=w, d=w, method=method):
+            rows.extend((camera, fid, int(oid)) for objset in result for oid in objset)
+    assert rows, "no object spans a whole window — weak test"
     assert_equivalent(
-        got_df,
+        pd.DataFrame(rows, columns=["camera", "win_end", "oid"]),
         f"""
         SELECT a.camera AS camera, a.fid AS win_end, b.oid AS oid
         FROM (SELECT DISTINCT camera, fid FROM vr) a
@@ -111,22 +110,20 @@ def test_mcos_batch_d_equals_w_sql_oracle(spark):
     )
 
 
-@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
-def test_mcos_batch_methods_agree(spark, vr_pdf, method):
-    ref = sorted(
-        tuple(r)
-        for r in mcos_batch(
-            vr_to_spark(spark, vr_pdf), w=9, d=4, method="naive", n_frames=N_FRAMES
-        ).collect()
-    )
-    got = sorted(
-        tuple(r)
-        for r in mcos_batch(
-            vr_to_spark(spark, vr_pdf), w=9, d=4, method=method, n_frames=N_FRAMES
-        ).collect()
-    )
-    assert got == ref
-    assert ref, "no satisfied states — weak test"
+def test_frames_of_group_rejects_fid_out_of_range():
+    """A row outside ``[0, n_frames)`` fails the camera's batch, as the
+    streaming path would feed it rather than drop it."""
+    def vr(*fids):
+        return pd.DataFrame(
+            [("cam0", fid, 1, "car") for fid in fids],
+            columns=["camera", "fid", "oid", "cls"],
+        )
+
+    assert [f for f, _ in _frames_of_group(vr(0, 2), 3)] == [0, 1, 2]
+    with pytest.raises(ValueError, match=r"'cam0'.*fid 5\b"):
+        list(_frames_of_group(vr(0, 2, 5), 3))
+    with pytest.raises(ValueError, match=r"'cam0'.*fid -1\b"):
+        list(_frames_of_group(vr(0, 2, -1), None))
 
 
 def test_batch_multi_camera_isolation(spark):

@@ -1,25 +1,17 @@
 """VR relation + Table 6 statistics on Spark, checked against DuckDB.
 
-Every query-result test here goes through
-``repro.oracle.assert_equivalent`` — the same SQL text runs on DuckDB
-over the same input, so a broken Catalyst plan or wrong window spec is
-caught as a wrong *result*.
+The SQL test goes through ``tests.oracle.assert_equivalent`` — the same
+SQL text runs on DuckDB over the same input, so a broken Catalyst plan
+or wrong window spec is caught as a wrong *result*.
 """
 from __future__ import annotations
 
-import duckdb
 import pandas as pd
 import pytest
 
-from repro.oracle import assert_equivalent
-from repro.spark.relation import (
-    TABLE6_SQL,
-    class_counts_per_frame,
-    full_presence_mcos,
-    table6_stats,
-    vr_to_spark,
-)
+from repro.spark.relation import TABLE6_SQL, table6_stats, vr_to_spark
 from repro.videogen.datasets import build_vr, vr_stats
+from tests.oracle import assert_equivalent
 from tests.spark.util import synthetic_vr
 
 
@@ -30,21 +22,11 @@ def vr_pdf():
 
 def test_table6_sql_vs_duckdb(spark, vr_pdf):
     n_frames = {"cam0": 80, "cam1": 80}
-    got = table6_stats(spark, vr_to_spark(spark, vr_pdf), n_frames)
-    con = duckdb.connect()
-    con.register("vr", vr_pdf)
-    con.register(
-        "vr_len",
-        pd.DataFrame(
-            [(c, n) for c, n in n_frames.items()], columns=["camera", "n_frames"]
-        ),
-    )
-    expected = con.execute(TABLE6_SQL).fetchdf()
-    con.close()
-    gp = got.toPandas().sort_values("camera").reset_index(drop=True)
-    ep = expected.sort_values("camera").reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        gp[sorted(gp.columns)].round(6), ep[sorted(ep.columns)].round(6), check_dtype=False
+    assert_equivalent(
+        table6_stats(spark, vr_to_spark(spark, vr_pdf), n_frames),
+        TABLE6_SQL,
+        vr=vr_pdf,
+        vr_len=pd.DataFrame(list(n_frames.items()), columns=["camera", "n_frames"]),
     )
 
 
@@ -63,37 +45,6 @@ def test_table6_sql_matches_pandas_reference(spark):
     assert round(float(got["obj_per_frame"]), 2) == ref["obj_per_frame"]
     assert round(float(got["occ_per_obj"]), 2) == ref["occ_per_obj"]
     assert round(float(got["frames_per_obj"]), 2) == ref["frames_per_obj"]
-
-
-def test_class_counts_oracle(spark, vr_pdf):
-    vr_df = vr_to_spark(spark, vr_pdf)
-    got = class_counts_per_frame(vr_df).withColumnRenamed("n", "n_objects")
-    assert_equivalent(
-        got,
-        """
-        SELECT camera, fid, cls, COUNT(DISTINCT oid) AS n_objects
-        FROM vr GROUP BY camera, fid, cls
-        """,
-        vr=vr_pdf,
-    )
-
-
-def test_full_presence_mcos_oracle(spark, vr_pdf):
-    w = 8
-    got = full_presence_mcos(vr_to_spark(spark, vr_pdf), w)
-    assert_equivalent(
-        got,
-        f"""
-        SELECT a.camera AS camera, a.fid AS win_end, b.oid AS oid
-        FROM (SELECT DISTINCT camera, fid FROM vr) a
-        JOIN vr b ON a.camera = b.camera
-                 AND b.fid BETWEEN a.fid - {w - 1} AND a.fid
-        WHERE a.fid >= {w - 1}
-        GROUP BY a.camera, a.fid, b.oid
-        HAVING COUNT(DISTINCT b.fid) = {w}
-        """,
-        vr=vr_pdf,
-    )
 
 
 def test_vr_schema_and_determinism(spark):
