@@ -187,11 +187,14 @@ class QueryPipeline:
         results = self.gen.results()
         self.stats.frames += 1
         self.stats.result_states += len(results)
+        # ``tuple.__new__`` builds each row without the namedtuple's
+        # Python-level ``__new__``.
+        new_row = tuple.__new__
         for smask, frames in results.items():
             qids, objset = self._match(smask)
             if qids:
                 n = len(frames)
-                rows += [MatchRow(fid, qid, objset, n) for qid in qids]
+                rows += [new_row(MatchRow, (fid, qid, objset, n)) for qid in qids]
         self.stats.matches += len(rows)
         return rows
 

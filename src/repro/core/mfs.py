@@ -14,8 +14,11 @@ Every stored state is filed under its *death key* (``_key``: newest
 mark, or NAIVE's newest frame) in buckets popped in key order; a state
 whose key has moved up since is re-filed when its old bucket pops.
 The Result State Set (§4.3.7) is ``SR_i = revalidate(SR_{i-1}) ∪
-{satisfied states updated at i}``.  Frames are trimmed lazily, when
-enumeration meets a generator, so read accessors take ``lo``.
+{satisfied states updated at i}``.  Enumeration costs one ``&`` and
+one group probe per state it meets: frames are trimmed lazily, only
+where the update step reads them (an append target, and the merged
+frames of a new state), so other states keep up to ``w`` expired
+frames and read accessors take ``lo``.
 
 Like NAIVE, MFS intersects every stored state with each arriving
 frame; unlike NAIVE, every state carries a *Marked Frame Set* whose
@@ -83,8 +86,9 @@ class MFSGenerator:
             ex = states.get(inter)
             if ex is not None:
                 # Append case: ``inter == ex.objset`` and
-                # ``ex.objset ⊆ objs_mask`` (ex is its own generator,
-                # so its frames are trimmed).
+                # ``ex.objset ⊆ objs_mask``.  Its length is read next,
+                # so its frames are trimmed here.
+                ex.expire(lo)
                 ex.append_frame(fid)
                 for g in glist:
                     if g.mark > ex.mark:
@@ -92,14 +96,15 @@ class MFSGenerator:
                 if len(ex.frames) >= d:
                     sr[inter] = ex
             elif admit is None or admit(inter):
-                fr = merge_sorted_unique([g.frames for g in glist])
+                fr = merge_sorted_unique([g.frames for g in glist], lo)
                 if not fr or fr[-1] != fid:
                     fr.append(fid)
                 st = self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
                 if len(fr) >= d:
                     sr[inter] = st
         # The arriving frame's own object set is (or becomes) a
-        # principal-style state with the arriving fid marked.
+        # principal-style state with the arriving fid marked.  A stored
+        # one met the loop above as its own generator: it is trimmed.
         st = states.get(objs_mask)
         if st is not None:
             st.append_frame(fid)
@@ -149,8 +154,6 @@ class MFSGenerator:
         for st in states.values():
             inter = st.objset & objs_mask
             if inter:
-                if st.frames[0] < lo:
-                    st.expire(lo)
                 bucket = gens.get(inter)
                 if bucket is None:
                     gens[inter] = [st]

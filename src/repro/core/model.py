@@ -136,11 +136,12 @@ class State:
     never change a pruning decision (Theorems 1/4; the differential
     tests assert the newest mark equals the brute-force validity
     threshold).  Mark-set union from the paper's marking rules becomes
-    ``max``.  Frames are trimmed lazily, when enumeration meets the
-    state as a generator; a state carried over in the Result State Set
-    may still hold expired frames, so read accessors take the window
-    low bound ``lo``.  The generator drops the state itself once its
-    death key expires (see :mod:`repro.core.mfs`).
+    ``max``.  Frames are trimmed lazily, where the update step reads
+    them: when the state is appended to, or merged into a new state.
+    Any other state may still hold expired frames (at most ``w``), so
+    read accessors take the window low bound ``lo``.  The generator
+    drops the state itself once its death key expires (see
+    :mod:`repro.core.mfs`).
     """
 
     objset: int
@@ -173,19 +174,24 @@ class State:
             fr.append(fid)
 
 
-def merge_sorted_unique(lists: list[list[int]]) -> list[int]:
-    """Union of sorted int lists, as a sorted list.
+def merge_sorted_unique(lists: list[list[int]], lo: int) -> list[int]:
+    """Union of sorted int lists from ``lo`` on, as a new sorted list.
 
     Frame sets of a generated state are the union over all its
     generator states (the paper's ``merge``), which keeps ``F_s`` equal
-    to the full set of window frames containing ``ID_s``.
+    to the full set of window frames containing ``ID_s``.  The
+    generators may still hold frames below the window low bound ``lo``;
+    those are left out.
     """
     if len(lists) == 1:
-        return list(lists[0])
+        fr = lists[0]
+        return fr[bisect_left(fr, lo) :]
     seen: set[int] = set()
     for li in lists:
         seen.update(li)
-    return sorted(seen)
+    fr = sorted(seen)
+    del fr[: bisect_left(fr, lo)]
+    return fr
 
 
 class Window:

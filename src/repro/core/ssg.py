@@ -59,15 +59,15 @@ from repro.core.model import State
 class SSGNode(State):
     """A state that is also a forest node."""
 
-    # Children as an insertion-ordered dict (used as a set), so that the
-    # forest's shape and the traversal order, hence ``stats``, do not
-    # depend on the nodes' addresses.
-    children: dict[SSGNode, None] = field(default_factory=dict)
+    # Children in insertion order, so that the forest's shape and the
+    # traversal order, hence ``stats``, do not depend on the nodes'
+    # addresses.  A list, not a dict, because the traversal extends its
+    # queue with every intersecting node's children.
+    children: list[SSGNode] = field(default_factory=list)
     parent: SSGNode | None = None
 
-    # Nodes are keys of their parent's ``children``: hash by identity.
+    # ``children.remove`` and ``in`` compare nodes by identity.
     __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 class SSGGenerator(MFSGenerator):
@@ -95,13 +95,15 @@ class SSGGenerator(MFSGenerator):
                 # c subsumed by an existing child: place it deeper.
                 self._add_edge(c2, c)
                 return
-        for c2 in [c2 for c2 in p.children if c2.objset & cm == c2.objset]:
-            # existing child subsumed by c: move it below c (§4.3.4).
-            del p.children[c2]
-            c2.parent = None
-            self._add_edge(c, c2)
-            self.stats["reparented"] += 1
-        p.children[c] = None
+        moved = [c2 for c2 in p.children if c2.objset & cm == c2.objset]
+        if moved:
+            # existing children subsumed by c: move them below c (§4.3.4).
+            p.children = [c2 for c2 in p.children if c2.objset & cm != c2.objset]
+            for c2 in moved:
+                c2.parent = None
+                self._add_edge(c, c2)
+            self.stats["reparented"] += len(moved)
+        p.children.append(c)
         c.parent = p
         self.roots.pop(cm, None)
         self.stats["edges"] += 1
@@ -112,7 +114,7 @@ class SSGGenerator(MFSGenerator):
         self.roots.pop(node.objset, None)
         p = node.parent
         if p is not None:
-            del p.children[node]
+            p.children.remove(node)
         for c in node.children:
             c.parent = None
             if p is None:
@@ -152,8 +154,6 @@ class SSGGenerator(MFSGenerator):
             inter = node.objset & objs_mask
             if not inter:
                 continue  # descendants' intersections are subsets: skip
-            if node.frames[0] < lo:
-                node.expire(lo)
             bucket = get_bucket(inter)
             if bucket is None:
                 gens[inter] = [node]
@@ -182,6 +182,7 @@ class SSGGenerator(MFSGenerator):
             if node.parent is None:
                 assert self.roots.get(node.objset) is node, "parentless node not a root"
             else:
-                assert node in node.parent.children, "node missing from its parent's children"
+                n_in_parent = sum(c is node for c in node.parent.children)
+                assert n_in_parent == 1, f"node {n_in_parent} times in its parent's children"
         for mask, node in self.roots.items():
             assert self.states.get(mask) is node and node.parent is None, "root has a parent"

@@ -22,6 +22,7 @@ from tests.core.util import (
     bursty_stream,
     churn_stream,
     encode_stream,
+    letters_stream,
     most_objects_in,
     random_stream,
 )
@@ -50,6 +51,33 @@ def run_differential(stream, w, d, method):
         if method == "mfs":
             store = {m: st_.live_frames(lo) for m, st_ in gen.states.items()}
             assert store == brute.closed_states(window), f"MFS store differs at fid={fid}"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_new_state_from_untrimmed_generators(method):
+    """Frames are trimmed where they are read, not where enumeration
+    meets a state.  At frame 5 (w=4, lo=2) {AC} is made from {ABC}
+    alone, which still holds fids 0 and 1, and {A} from {AB} (holding
+    fid 1), {ABD} and {ABE}.  The new states hold only live fids, equal
+    to the oracle's, and their counts decide SR membership: {AC} has 2
+    frames, below d=3, where its generator's whole list would give 4."""
+    w, d = 4, 3
+    codec, enc = encode_stream(letters_stream(["ABC", "ABC", "ABC", "ABD", "ABE", "AC"]))
+    gen = make_generator(method, w, d)
+    for fid, mask in enc[:5]:
+        gen.advance(fid, mask)
+    lo = 5 - w + 1
+    abc, ab, ac, a = (codec.encode_iter(map(ord, s)) for s in ("ABC", "AB", "AC", "A"))
+    assert gen.states[abc].frames[0] < lo and gen.states[ab].frames[0] < lo
+    assert ac not in gen.states and a not in gen.states
+    gen.advance(*enc[5])
+    gen.check_invariants()
+    want = brute.closed_states(enc[lo:])
+    assert gen.states[ac].frames == want[ac] == [2, 5]
+    assert gen.states[a].frames == want[a] == [2, 3, 4, 5]
+    results = gen.results()
+    assert ac not in results and results[a] == [2, 3, 4, 5]
+    assert results == brute.satisfied_states(enc[lo:], d)
 
 
 @pytest.mark.parametrize("method", METHODS)

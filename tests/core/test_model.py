@@ -82,15 +82,19 @@ def test_iter_frames_enforces_order():
 
 
 @given(
-    st.lists(st.lists(st.integers(0, 50), max_size=10).map(sorted), max_size=5)
+    st.lists(st.lists(st.integers(0, 50), max_size=10).map(sorted), max_size=5),
+    st.integers(0, 55),
 )
-def test_merge_sorted_unique(lists):
+def test_merge_sorted_unique(lists, lo):
     lists = [sorted(set(li)) for li in lists] or [[]]
-    out = merge_sorted_unique(lists)
-    assert out == sorted(set().union(*map(set, lists)))
+    union = sorted(set().union(*map(set, lists)))
+    assert merge_sorted_unique(lists, 0) == union
+    assert merge_sorted_unique(lists, lo) == [f for f in union if f >= lo]
 
 
 def test_merge_single_list_copies():
     src = [1, 2, 3]
-    out = merge_sorted_unique([src])
+    out = merge_sorted_unique([src], 0)
     assert out == src and out is not src
+    out = merge_sorted_unique([src], 2)
+    assert out == [2, 3] and src == [1, 2, 3]

@@ -44,14 +44,34 @@ def test_job_runs(job, tmp_path):
         assert (tmp_path / ARTIFACTS[job].csv).exists()
 
 
-def test_spark_layer_job_matches_rows(tmp_path):
+@pytest.fixture(scope="module")
+def spark_layer_run(tmp_path_factory):
+    """One tiny-scale run of the Spark layer job, shared by its tests."""
+    proc = run_tiny([os.path.join(JOBS_DIR, "spark_layer.py")], tmp_path_factory.mktemp("spark_layer"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc
+
+
+def test_spark_layer_job_matches_rows(spark_layer_run):
     """Table 6 by Spark SQL equals the registry's, and the Figure 10
     workload over six cameras yields match rows at the scaled window."""
-    proc = run_tiny([os.path.join(JOBS_DIR, "spark_layer.py")], tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    proc = spark_layer_run
     assert "equal by Spark SQL" in proc.stdout
     m = re.search(r"total_match_rows=(\d+)", proc.stdout)
     assert m and int(m.group(1)) > 0, proc.stdout[-2000:]
+
+
+def test_spark_layer_rows_within_each_camera(spark_layer_run):
+    """Each camera is fed only its own frames: no match row lies at or
+    beyond its camera's frame count, though the cameras differ in length."""
+    proc = spark_layer_run
+    cams = re.findall(r"camera=(\w+) frames=(\d+) match_rows=(\d+) last_fid=(\d+)", proc.stdout)
+    assert {c for c, *_ in cams} == {"V1", "V2", "D1", "D2", "M1", "M2"}, proc.stdout[-2000:]
+    assert len({int(n) for _, n, _, _ in cams}) > 1, "cameras of one length test nothing"
+    for camera, n, _, last in cams:
+        assert int(last) < int(n), f"{camera}: match row at fid {last} of {n} frames"
+    total = int(re.search(r"total_match_rows=(\d+)", proc.stdout).group(1))
+    assert total == sum(int(r) for _, _, r, _ in cams)
 
 
 def test_all_jobs_importable():
