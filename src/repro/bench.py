@@ -5,8 +5,9 @@
 lists the artifact's points as dicts (dataset, swept parameter,
 method), and ``run(**point)``, which measures one point.
 ``rows(name)`` is ``{**p, **run(**p)}`` for each ``p`` of ``grid()``,
-best of ``REPEATS`` runs: the table of numbers the paper plots.  Three
-entry points share the registry:
+best of ``REPEATS`` runs with times scaled to a nominal host speed: the
+table of numbers the paper plots.  Three entry points share the
+registry:
 
 - ``python -m repro.bench [artifact ...]`` prints each table and writes
   its CSV to ``REPRO_RESULTS_DIR`` (default ``<repo>/results``);
@@ -124,6 +125,8 @@ def run_mcos(stream, method: str, w: int, d: int) -> dict:
         "results": n_results,
         "peak_states": peak,
         "visits": gen.stats["visits"],
+        # Frames that repeated the previous object set: no visits.
+        "repeated": gen.stats["repeated"],
         "expired": gen.stats["expired"],
         "refiled": gen.stats["refiled"],
         # SSG forest maintenance; the scan methods keep no edges.
@@ -305,23 +308,61 @@ ARTIFACTS: dict[str, Artifact] = {
 # each point keeps its fastest run.  A single run carries the host's
 # drift, enough to flip a row's SSG-vs-MFS order.
 REPEATS = 3
-# The timed columns; every other column is a count and must repeat exactly.
-TIME_COLUMNS = ("seconds", "track_seconds", "eval_seconds", "sec_per_query")
+# The timed columns, in seconds scaled to the nominal host speed.
+SECONDS_COLUMNS = ("seconds", "track_seconds", "eval_seconds", "sec_per_query")
+# The columns that vary between runs: the timed ones and the probe that
+# scaled them.  Every other column is a count and must repeat exactly.
+TIME_COLUMNS = (*SECONDS_COLUMNS, "probe_ns")
+
+# Host-speed normalisation, as in ``perfbench/replay.py`` (same loop,
+# same nominal time).  On a shared host the same code runs slower while
+# other tenants load the machine, and the drift differs from one process
+# to the next, which a best of ``REPEATS`` inside one process keeps.  So
+# a fixed reference loop is timed before and after each run, and the
+# run's times are scaled by ``NOMINAL_PROBE_NS`` over the mean of the
+# two.  ``NOMINAL_PROBE_NS`` is the loop's time on an unloaded CPU of a
+# 4-vCPU 2.0 GHz Xeon virtual machine.
+NOMINAL_PROBE_NS = 430_000
+
+
+def _loop_ns() -> int:
+    t0 = time.perf_counter_ns()
+    s = 0
+    for i in range(10_000):
+        s += i & 7
+    return time.perf_counter_ns() - t0
+
+
+def probe() -> int:
+    """Best of two runs of a fixed 10,000-iteration loop, in ns."""
+    return min(_loop_ns(), _loop_ns())
+
+
+def measure(art: Artifact, point: dict) -> dict:
+    """One run of a point, its times scaled to the nominal host speed.
+    ``probe_ns`` is the mean of the probes before and after the run."""
+    p0 = probe()
+    r = art.run(**point)
+    probe_ns = (p0 + probe()) / 2
+    scale = NOMINAL_PROBE_NS / probe_ns
+    r = {k: v * scale if k in SECONDS_COLUMNS else v for k, v in r.items()}
+    r["probe_ns"] = probe_ns
+    return r
 
 
 def rows(name: str) -> list[dict]:
     """Every point of an artifact, measured: the paper's table.  Each
     point is run ``REPEATS`` times, interleaved over the grid, and its
-    fastest run is kept."""
+    fastest run (after scaling) is kept."""
     art = ARTIFACTS[name]
     grid = art.grid()
-    runs = [[art.run(**p) for p in grid] for _ in range(REPEATS)]
+    runs = [[measure(art, p) for p in grid] for _ in range(REPEATS)]
     out = []
     for p, reps in zip(grid, zip(*runs)):
         counts = [{k: v for k, v in r.items() if k not in TIME_COLUMNS} for r in reps]
         if any(c != counts[0] for c in counts):
             raise RuntimeError(f"{name} {p}: counts differ between runs: {counts}")
-        best = min(reps, key=lambda r: sum(r.get(k, 0.0) for k in TIME_COLUMNS))
+        best = min(reps, key=lambda r: sum(r.get(k, 0.0) for k in SECONDS_COLUMNS))
         out.append({**p, **best})
     return out
 

@@ -16,9 +16,17 @@ whose key has moved up since is re-filed when its old bucket pops.
 The Result State Set (§4.3.7) is ``SR_i = revalidate(SR_{i-1}) ∪
 {satisfied states updated at i}``.  Enumeration costs one ``&`` and
 one group probe per state it meets: frames are trimmed lazily, only
-where the update step reads them (an append target, and the merged
-frames of a new state), so other states keep up to ``w`` expired
-frames and read accessors take ``lo``.
+where the update step reads them (an append target, the merged
+frames of a new state, and the principal state), so other states keep
+up to ``w`` expired frames and read accessors take ``lo``.
+
+A *repeated frame* — one whose object set equals the previous
+non-empty frame's, while that frame is still in the window — skips
+enumeration: its groups are the previous frame's that are still
+stored, each an append whose mark already covers its generators, so
+the update is those appends and the principal's mark (DESIGN.md §5,
+"Repeated frames").  All three methods take it; it counts in
+``stats["repeated"]`` and adds nothing to ``stats["visits"]``.
 
 Like NAIVE, MFS intersects every stored state with each arriving
 frame; unlike NAIVE, every state carries a *Marked Frame Set* whose
@@ -63,57 +71,86 @@ class MFSGenerator:
         # query are never maintained.
         self.admit = admit
         # Enumeration cost (states scanned, or graph nodes visited),
-        # states dropped, and bucket entries moved to a later key.
-        self.stats = {"visits": 0, "expired": 0, "refiled": 0}
+        # frames served without enumeration, states dropped, and bucket
+        # entries moved to a later key.
+        self.stats = {"visits": 0, "repeated": 0, "expired": 0, "refiled": 0}
         self._keys: list[int] = []  # heap of the bucket keys
         self._buckets: dict[int, list[State]] = {}
         self._sr: dict[int, State] = {}  # Result State Set
         self._lo = 0
+        # The previous non-empty frame's mask and fid, and the group
+        # keys of the last frame enumerated (a repeated frame's keys
+        # are among them).
+        self._last: tuple[int, int, list[int]] = (0, 0, [])
 
-    def advance(self, fid: int, objs_mask: int) -> dict[int, list[State]]:
+    def advance(self, fid: int, objs_mask: int) -> None:
         """Process one arriving frame (fids strictly increasing) with the
-        update step all methods share; returns the generator map."""
+        update step all methods share.
+
+        A repeated frame (the previous non-empty frame's object set,
+        that frame still in the window) skips ``_generators``.  Its
+        groups are the previous frame's keys that are still stored;
+        each is trimmed and appended to, and its mark, already the max
+        over its generators, stays.  Only the principal's mark moves.
+        Without the window condition a gap of ``w`` fids or more would
+        find the whole store expired and the principal not re-created
+        (DESIGN.md §5, "Repeated frames")."""
         lo = self._lo = self.win.lo(fid)
         d = self.win.d
         self._expire(lo)
         sr = self._sr = {m: s for m, s in self._sr.items() if s.n_live_frames(lo) >= d}
         if not objs_mask:
-            return {}
-        gens = self._generators(lo, objs_mask)
+            return
         states = self.states
         admit = self.admit
-        for inter, glist in gens.items():
-            ex = states.get(inter)
-            if ex is not None:
-                # Append case: ``inter == ex.objset`` and
-                # ``ex.objset ⊆ objs_mask``.  Its length is read next,
-                # so its frames are trimmed here.
-                ex.expire(lo)
-                ex.append_frame(fid)
-                for g in glist:
-                    if g.mark > ex.mark:
-                        ex.mark = g.mark  # mark propagation (§4.2.3)
-                if len(ex.frames) >= d:
-                    sr[inter] = ex
-            elif admit is None or admit(inter):
-                fr = merge_sorted_unique([g.frames for g in glist], lo)
-                if not fr or fr[-1] != fid:
-                    fr.append(fid)
-                st = self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
-                if len(fr) >= d:
-                    sr[inter] = st
+        last_mask, last_fid, keys = self._last
+        if objs_mask == last_mask and last_fid >= lo:
+            # Repeated frame: appends to the previous frame's groups.
+            self.stats["repeated"] += 1
+            for inter in keys:
+                ex = states.get(inter)
+                if ex is not None:
+                    ex.expire(lo)
+                    ex.append_frame(fid)
+                    if len(ex.frames) >= d:
+                        sr[inter] = ex
+        else:
+            gens = self._generators(lo, objs_mask)
+            keys = list(gens)
+            for inter, glist in gens.items():
+                ex = states.get(inter)
+                if ex is not None:
+                    # Append case: ``inter == ex.objset`` and
+                    # ``ex.objset ⊆ objs_mask``.  Its length is read next,
+                    # so its frames are trimmed here.
+                    ex.expire(lo)
+                    ex.append_frame(fid)
+                    for g in glist:
+                        if g.mark > ex.mark:
+                            ex.mark = g.mark  # mark propagation (§4.2.3)
+                    if len(ex.frames) >= d:
+                        sr[inter] = ex
+                elif admit is None or admit(inter):
+                    fr = merge_sorted_unique([g.frames for g in glist], lo)
+                    if not fr or fr[-1] != fid:
+                        fr.append(fid)
+                    st = self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
+                    if len(fr) >= d:
+                        sr[inter] = st
+        self._last = (objs_mask, fid, keys)
         # The arriving frame's own object set is (or becomes) a
-        # principal-style state with the arriving fid marked.  A stored
-        # one met the loop above as its own generator: it is trimmed.
+        # principal-style state with the arriving fid marked.  Its length
+        # is read, so it is trimmed: a repeated frame's groups leave out a
+        # principal state the previous frame created.
         st = states.get(objs_mask)
         if st is not None:
+            st.expire(lo)
             st.append_frame(fid)
             st.mark = fid
         elif admit is None or admit(objs_mask):
-            st = self._create(objs_mask, [fid], fid, None, gens)
+            st = self._create(objs_mask, [fid], fid, None, keys)
         if st is not None and len(st.frames) >= d:
             sr[objs_mask] = st
-        return gens
 
     def _key(self, st: State) -> int:
         """Death key: the state is dropped once this fid expires."""

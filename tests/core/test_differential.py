@@ -3,8 +3,8 @@
 Every generator must produce, after every frame, exactly the oracle's
 satisfied valid states (object set -> full supporting frame set).
 Streams cover i.i.d. presence, bursty dwell with occlusions, empty
-frames, gaps in the fids, and a hypothesis-driven fuzz.  After every
-frame each generator's expiry filing is checked too.
+frames, gaps in the fids, runs of equal frames, and a hypothesis-driven
+fuzz.  After every frame each generator's expiry filing is checked too.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from tests.core.util import (
     bursty_stream,
     churn_stream,
     encode_stream,
+    held_stream,
     letters_stream,
     most_objects_in,
     random_stream,
@@ -51,6 +52,7 @@ def run_differential(stream, w, d, method):
         if method == "mfs":
             store = {m: st_.live_frames(lo) for m, st_ in gen.states.items()}
             assert store == brute.closed_states(window), f"MFS store differs at fid={fid}"
+    return gen
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -131,6 +133,99 @@ def test_duration_zero_and_full_window(method):
     run_differential(stream, 6, 6, method)
 
 
+# ----------------------------------------------------------------------
+# Repeated frames: an object set equal to the previous non-empty frame's
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("w,d", [(6, 3), (12, 9), (5, 5)])
+def test_held_streams(method, seed, w, d):
+    """Long runs of equal frames, served without enumeration: appends to
+    the previous frame's groups and the principal's mark."""
+    stream = held_stream(bursty_stream(40, n_objects=8, dwell=6, occl=0.2, seed=seed), seed=seed)
+    gen = run_differential(stream, w, d, method)
+    assert gen.stats["repeated"] > 0, "no repeated frame: weak test"
+
+
+W, D = 5, 2
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "gap,empties,fires",
+    [(1, 0, True), (3, 0, True), (3, 2, True), (W - 1, 0, True), (W - 1, W - 2, True),
+     (W, 0, False), (W, W - 1, False), (W + 3, 0, False)],
+)
+def test_equal_frames_split(method, gap, empties, fires):
+    """Two equal frames ``gap`` fids apart, with ``empties`` empty frames
+    between them.  While the first is in the window the second repeats
+    it.  Once the gap reaches w the whole store has expired: the second
+    must not count as repeated, and its principal state is made anew."""
+    head = letters_stream(["ABC", "ABD", "ABD"])
+    last = head[-1][0]
+    stream = head + [(last + 1 + i, []) for i in range(empties)]
+    stream.append((last + gap, [ord(c) for c in "ABD"]))
+    _, enc = encode_stream(stream)
+    gen = make_generator(method, W, D)
+    for fid, mask in enc[:-1]:
+        gen.advance(fid, mask)
+    fid, abd = enc[-1]
+    before, repeated = gen.states.get(abd), gen.stats["repeated"]
+    gen.advance(fid, abd)
+    gen.check_invariants()
+    window = [(f, m) for f, m in enc if f > fid - W]
+    assert gen.results() == brute.satisfied_states(window, D)
+    assert gen.stats["repeated"] - repeated == fires
+    st_ = gen.states[abd]
+    assert st_.mark == fid
+    if fires:
+        assert st_ is before
+        assert st_.live_frames(fid - W + 1) == brute.closed_states(window)[abd]
+    else:
+        assert st_ is not before and st_.frames == [fid]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", range(4))
+def test_repeated_frame_counters(method, seed):
+    """A non-empty frame repeats when its object set equals the previous
+    non-empty frame's and that frame is still in the window.  A repeated
+    frame adds 1 to ``repeated`` and 0 to ``visits``, and creates no
+    state: the only SSG edges it adds re-hang the children of expired
+    nodes, each counted in ``reparented`` too.  Any other frame adds 0
+    to ``repeated``.  Gaps and empty frames split some of the runs."""
+    w, d = 5, 2
+    rng = random.Random(seed)
+    fid, stream = 0, []
+    base = bursty_stream(40, n_objects=6, dwell=8, occl=0.1, seed=seed)
+    for _, objs in held_stream(base, seed=seed):
+        if rng.random() < 0.15:
+            stream.append((fid, []))
+            fid += 1
+        stream.append((fid, objs))
+        fid += rng.choice((1, 1, 1, 2, w - 1, w, w + 2))
+    _, enc = encode_stream(stream)
+    gen = make_generator(method, w, d)
+    last = None  # previous non-empty frame
+    n_repeated = 0
+    for fid, mask in enc:
+        before, stored = dict(gen.stats), dict(gen.states)
+        gen.advance(fid, mask)
+        gen.check_invariants()
+        delta = {k: v - before[k] for k, v in gen.stats.items()}
+        repeats = bool(mask) and last is not None and last[1] == mask and last[0] > fid - w
+        assert delta["repeated"] == repeats, f"fid={fid}"
+        if repeats:
+            assert delta["visits"] == 0, f"fid={fid}"
+            assert all(stored.get(m) is s for m, s in gen.states.items()), f"fid={fid}"
+            assert delta.get("edges", 0) == delta.get("reparented", 0), f"fid={fid}"
+        if mask:
+            last = (fid, mask)
+        n_repeated += repeats
+    assert n_repeated > 0, "no repeated frame: weak test"
+    run_differential(stream, w, d, method)
+
+
 @pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=40, deadline=None)
 @given(
@@ -157,14 +252,18 @@ def test_mark_exactness_vs_validity_threshold(seed):
     The three methods differ only in pruning: MFS drops a state the
     frame its newest mark expires, NAIVE and SSG may keep it longer.
     So MFS's whole store, and NAIVE's and SSG's states with a mark in
-    the window, must be exactly the oracle's closed states."""
+    the window, must be exactly the oracle's closed states.  The second
+    stream holds its frames in runs of equal frames, on which only the
+    principal state's mark moves."""
+    bursty = bursty_stream(50, n_objects=8, dwell=6, occl=0.25, seed=seed)
+    held = held_stream(bursty[:25], seed=seed)
     for method in METHODS:
-        check_marks(method, seed)
+        check_marks(method, bursty)
+        assert check_marks(method, held).stats["repeated"] > 0
 
 
-def check_marks(method, seed):
+def check_marks(method, stream):
     w, d = 8, 3
-    stream = bursty_stream(50, n_objects=8, dwell=6, occl=0.25, seed=seed)
     codec, enc = encode_stream(stream)
     gen = make_generator(method, w, d)
     window: list[tuple[int, int]] = []
@@ -190,6 +289,7 @@ def check_marks(method, seed):
                 f"method={method} fid={fid} state={codec.decode(smask)}: newest mark "
                 f"{st_.mark} != validity threshold {fstar}"
             )
+    return gen
 
 
 # ----------------------------------------------------------------------
@@ -272,3 +372,34 @@ def test_recycling_with_fid_gaps(seed, w, d):
         stream.append((fid, objs))
         fid += rng.choice((1, 1, 1, 2, 3, w + 1, 2 * w + 5))
     run_recycling(stream, w, d)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recycling_with_held_frames(seed):
+    """Runs of equal frames, some pipelines pruned: a repeated frame
+    appends to the admitted groups of the previous frame only."""
+    run_recycling(held_stream(churn_stream(60, dwell=5, seed=seed), seed=seed), 6, 3)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_repeated_frame_with_terminated_group(method):
+    """§5.3 pruning.  At frame 1 the group {1, 2, 4} (one car, two
+    people) fails both PAIRS queries and is terminated.  Frame 2 repeats
+    frame 1: its rows and results equal the oracle's over the admitted
+    object sets, and it evaluates and terminates nothing."""
+    stream = [(0, [1, 2, 3, 4, 6]), (1, [1, 2, 4, 5]), (2, [1, 2, 4, 5])]
+    ref, enc = encode_stream(stream)
+    pipe = QueryPipeline(PAIRS, w=4, d=1, method=method, prune=True)
+    for i, (fid, oids) in enumerate(stream):
+        before = (pipe.stats.terminated, pipe.stats.evaluations, pipe.gen.stats["repeated"])
+        rows = pipe.feed(fid, [(o, "car" if o % 2 else "person") for o in oids])
+        want = {ref.decode(m): fr for m, fr in brute.satisfied_states(enc[: i + 1], 1).items()}
+        want = {x: fr for x, fr in want.items() if pairs_qids(x)}
+        assert {pipe.codec.decode(m): fr for m, fr in pipe.gen.results().items()} == want
+        assert sorted(rows) == sorted(
+            MatchRow(fid, q, x, len(fr)) for x, fr in want.items() for q in pairs_qids(x)
+        ), f"fid={fid}"
+    assert (1, 2, 4) not in {pipe.codec.decode(m) for m in pipe.gen.states}
+    assert before[0] == 1, "the group was not terminated: weak test"
+    assert (pipe.stats.terminated, pipe.stats.evaluations) == before[:2]
+    assert pipe.gen.stats["repeated"] == before[2] + 1

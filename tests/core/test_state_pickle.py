@@ -9,7 +9,8 @@ equal.  M1 yields no rows at these settings, so ``results()`` is what
 checks it.  The codec width and the sizes of the two mask-keyed caches
 must be equal too: ``mid`` is past ``w``, so the codec has released bits
 before the pickle, and the resumed pipeline must keep the same release
-schedule.
+schedule.  A pickle taken between two equal frames must carry what the
+second needs to skip enumeration.
 """
 from __future__ import annotations
 
@@ -38,6 +39,31 @@ def test_pickled_pipeline_resumes_mid_stream(dataset, method):
         assert pipe.gen.results() == ref.gen.results(), f"fid={fid}"
         assert sizes(pipe) == sizes(ref), f"fid={fid}"
     assert pipe.stats == ref.stats
+
+
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+def test_pickle_between_equal_frames(method):
+    """Pickled right after a frame whose object set the next frame
+    repeats (V1, static camera): the resumed pipeline serves that next
+    frame without enumeration, from the previous frame's groups it
+    carried through the pickle, and resumes exactly."""
+    stream = labeled_stream("V1", 0, DATASETS["V1"].scene.n_frames)
+    mid = next(
+        i for i in range(len(stream) // 2, len(stream))
+        if stream[i][1] and sorted(stream[i][1]) == sorted(stream[i - 1][1])
+    )
+    ref = QueryPipeline(fig10_queries()[:10], w=DEFAULT_W, d=DEFAULT_D, method=method)
+    for fid, objs in stream[:mid]:
+        ref.feed(fid, objs)
+    pipe = pickle.loads(pickle.dumps(ref))
+    repeated = ref.gen.stats["repeated"]
+    for fid, objs in stream[mid:]:
+        assert pipe.feed(fid, objs) == ref.feed(fid, objs), f"fid={fid}"
+        assert pipe.gen.results() == ref.gen.results(), f"fid={fid}"
+        if fid == stream[mid][0]:
+            assert pipe.gen.stats["repeated"] == repeated + 1
+        pipe.gen.check_invariants()
+    assert pipe.stats == ref.stats and pipe.gen.stats == ref.gen.stats
 
 
 def sizes(pipe: QueryPipeline) -> tuple[int, int, int]:

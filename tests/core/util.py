@@ -116,3 +116,17 @@ def most_objects_in(frames: list[tuple[int, list[int]]], span: int) -> int:
                     del count[o]
         best = max(best, len(count))
     return best
+
+
+def held_stream(
+    frames: list[tuple[int, list[int]]], *, hold: int = 6, seed: int = 0
+) -> list[tuple[int, list[int]]]:
+    """Hold each frame's object set for a run of 1 to ``hold`` equal
+    frames, with consecutive fids: objects that stay in view of a static
+    camera, so most frames repeat the previous frame's object set."""
+    rng = random.Random(seed)
+    out: list[tuple[int, list[int]]] = []
+    for _, objs in frames:
+        for _ in range(rng.randint(1, hold)):
+            out.append((len(out), list(objs)))
+    return out

@@ -155,6 +155,32 @@ def test_artifact_grid_row_and_csv(name, tmp_path, monkeypatch):
     assert back == [{k: str(v) for k, v in r.items()} for r in rows]
 
 
+def test_rows_scale_times_to_nominal_host_speed(monkeypatch):
+    """Probes at twice the nominal time mean a host half as fast: the
+    row's seconds halve, its counts stay, and the probe is kept."""
+    slow = 2 * bench.NOMINAL_PROBE_NS
+    monkeypatch.setattr(bench, "probe", lambda: slow)
+    art = bench.Artifact(
+        "stub", "stub.csv", ("x",), lambda: [{"x": 1}], lambda x: {"seconds": 1.0, "results": 7}
+    )
+    monkeypatch.setitem(bench.ARTIFACTS, "stub", art)
+    assert bench.rows("stub") == [{"x": 1, "seconds": 0.5, "results": 7, "probe_ns": slow}]
+
+
+def test_run_mcos_counts_repeated_frames():
+    """V1's objects dwell: many frames repeat the previous object set,
+    and each one is served without visits."""
+    stream = bench.object_stream("V1")
+    w, d = bench.scaled_w_d()
+    runs = {m: bench.run_mcos(stream, m, w, d) for m in ("naive", "mfs", "ssg")}
+    repeats, last = 0, (-w, None)  # previous non-empty frame
+    for fid, oids in stream:
+        if oids:
+            repeats += set(oids) == last[1] and last[0] > fid - w
+            last = (fid, set(oids))
+    assert {r["repeated"] for r in runs.values()} == {repeats} and repeats > 0
+
+
 def test_format_rows_aligned():
     txt = bench.format_rows(
         [{"a": 1, "b": 0.5}, {"a": 22, "b": 0.25}], ["a", "b"]
