@@ -6,13 +6,11 @@ lists the artifact's points as dicts (dataset, swept parameter,
 method), and ``run(**point)``, which measures one point.
 ``rows(name)`` is ``{**p, **run(**p)}`` for each ``p`` of ``grid()``,
 best of ``REPEATS`` runs with times scaled to a nominal host speed: the
-table of numbers the paper plots.  Three entry points share the
+table of numbers the paper plots.  Two entry points share the
 registry:
 
 - ``python -m repro.bench [artifact ...]`` prints each table and writes
   its CSV to ``REPRO_RESULTS_DIR`` (default ``<repo>/results``);
-- ``benchmarks/bench_artifacts.py`` runs one pytest-benchmark per
-  ``(artifact, point)`` and records the row in ``extra_info``;
 - ``jobs/spark_layer.py`` checks Table 6 against Spark SQL and runs the
   Figure 10 workload through the Spark batch pipeline.
 
@@ -115,7 +113,7 @@ def run_mcos(stream, method: str, w: int, d: int) -> dict:
     t0 = time.perf_counter()
     for fid, oids in stream:
         advance_frame(gen, codec, fid, oids)
-        n_results += len(gen.results())
+        n_results += len(gen.result_sizes())
         ns = gen.n_states()
         if ns > peak:
             peak = ns

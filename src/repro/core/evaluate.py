@@ -184,16 +184,15 @@ class QueryPipeline:
         if freed:
             self._forget(freed)
         rows: list[MatchRow] = []
-        results = self.gen.results()
+        sizes = self.gen.result_sizes()
         self.stats.frames += 1
-        self.stats.result_states += len(results)
+        self.stats.result_states += len(sizes)
         # ``tuple.__new__`` builds each row without the namedtuple's
         # Python-level ``__new__``.
         new_row = tuple.__new__
-        for smask, frames in results.items():
+        for smask, n in sizes.items():
             qids, objset = self._match(smask)
             if qids:
-                n = len(frames)
                 rows += [new_row(MatchRow, (fid, qid, objset, n)) for qid in qids]
         self.stats.matches += len(rows)
         return rows

@@ -14,11 +14,12 @@ Every stored state is filed under its *death key* (``_key``: newest
 mark, or NAIVE's newest frame) in buckets popped in key order; a state
 whose key has moved up since is re-filed when its old bucket pops.
 The Result State Set (§4.3.7) is ``SR_i = revalidate(SR_{i-1}) ∪
-{satisfied states updated at i}``.  Enumeration costs one ``&`` and
-one group probe per state it meets: frames are trimmed lazily, only
-where the update step reads them (an append target, the merged
-frames of a new state, and the principal state), so other states keep
-up to ``w`` expired frames and read accessors take ``lo``.
+{satisfied states updated at i}``; ``result_sizes`` reads its states'
+live frame counts, and ``results`` their frames.  Enumeration costs
+one ``&`` and one group probe per state it meets: frames are trimmed
+lazily, only where the update step reads them (an append target, the
+merged frames of a new state, and the principal state), so other
+states keep up to ``w`` expired frames and read accessors take ``lo``.
 
 A *repeated frame* — one whose object set equals the previous
 non-empty frame's, while that frame is still in the window — skips
@@ -52,6 +53,7 @@ DESIGN.md):
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Callable, Iterable
 
@@ -110,9 +112,11 @@ class MFSGenerator:
             for inter in keys:
                 ex = states.get(inter)
                 if ex is not None:
-                    ex.expire(lo)
-                    ex.append_frame(fid)
-                    if len(ex.frames) >= d:
+                    fr = ex.frames
+                    if fr[0] < lo:
+                        del fr[: bisect_left(fr, lo)]
+                    fr.append(fid)
+                    if len(fr) >= d:
                         sr[inter] = ex
         else:
             gens = self._generators(lo, objs_mask)
@@ -123,12 +127,14 @@ class MFSGenerator:
                     # Append case: ``inter == ex.objset`` and
                     # ``ex.objset ⊆ objs_mask``.  Its length is read next,
                     # so its frames are trimmed here.
-                    ex.expire(lo)
-                    ex.append_frame(fid)
+                    fr = ex.frames
+                    if fr[0] < lo:
+                        del fr[: bisect_left(fr, lo)]
+                    fr.append(fid)
                     for g in glist:
                         if g.mark > ex.mark:
                             ex.mark = g.mark  # mark propagation (§4.2.3)
-                    if len(ex.frames) >= d:
+                    if len(fr) >= d:
                         sr[inter] = ex
                 elif admit is None or admit(inter):
                     fr = merge_sorted_unique([g.frames for g in glist], lo)
@@ -141,11 +147,16 @@ class MFSGenerator:
         # The arriving frame's own object set is (or becomes) a
         # principal-style state with the arriving fid marked.  Its length
         # is read, so it is trimmed: a repeated frame's groups leave out a
-        # principal state the previous frame created.
+        # principal state the previous frame created.  Its append is
+        # guarded: when a stored state contains the frame's object set,
+        # the principal is a group key and has ``fid`` already.
         st = states.get(objs_mask)
         if st is not None:
-            st.expire(lo)
-            st.append_frame(fid)
+            fr = st.frames
+            if fr[0] < lo:
+                del fr[: bisect_left(fr, lo)]
+            if fr[-1] != fid:
+                fr.append(fid)
             st.mark = fid
         elif admit is None or admit(objs_mask):
             st = self._create(objs_mask, [fid], fid, None, keys)
@@ -210,8 +221,15 @@ class MFSGenerator:
         self._file(st, self._key(st))
         return st
 
+    def result_sizes(self) -> dict[int, int]:
+        """Satisfied valid states as ``{mask: live frame count}``: the
+        Result State Set, whose states are all valid here.  NAIVE
+        overrides it with its selection of the valid states."""
+        lo = self._lo
+        return {mask: st.n_live_frames(lo) for mask, st in self._sr.items()}
+
     def results(self) -> dict[int, list[int]]:
-        """Satisfied valid states: the Result State Set."""
+        """The states of :meth:`result_sizes` as ``{mask: live frames}``."""
         lo = self._lo
         return {mask: st.live_frames(lo) for mask, st in self._sr.items()}
 

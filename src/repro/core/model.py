@@ -136,8 +136,8 @@ class State:
     never change a pruning decision (Theorems 1/4; the differential
     tests assert the newest mark equals the brute-force validity
     threshold).  Mark-set union from the paper's marking rules becomes
-    ``max``.  Frames are trimmed lazily, where the update step reads
-    them: when the state is appended to, or merged into a new state.
+    ``max``.  Frames are trimmed lazily, by the update step where it
+    reads them: when the state is appended to, or merged into a new state.
     Any other state may still hold expired frames (at most ``w``), so
     read accessors take the window low bound ``lo``.  The generator
     drops the state itself once its death key expires (see
@@ -147,12 +147,6 @@ class State:
     objset: int
     frames: list[int] = field(default_factory=list)
     mark: int = -1
-
-    def expire(self, lo: int) -> None:
-        """Drop frames with fid < ``lo`` (window slide)."""
-        fr = self.frames
-        if fr and fr[0] < lo:
-            del fr[: bisect_left(fr, lo)]
 
     def n_live_frames(self, lo: int) -> int:
         """``|F_s ∩ window|`` without mutating the state."""
@@ -166,12 +160,6 @@ class State:
         if not fr or fr[0] >= lo:
             return list(fr)
         return fr[bisect_left(fr, lo) :]
-
-    def append_frame(self, fid: int) -> None:
-        """Append ``fid`` (must be >= every stored fid) exactly once."""
-        fr = self.frames
-        if not fr or fr[-1] != fid:
-            fr.append(fid)
 
 
 def merge_sorted_unique(lists: list[list[int]], lo: int) -> list[int]:

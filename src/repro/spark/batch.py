@@ -43,6 +43,23 @@ def frames_by_fid(pdfs: Iterable[pd.DataFrame]) -> dict[int, list[tuple[int, str
     return by_fid
 
 
+def match_rows(
+    camera: str, pipe: QueryPipeline, frames: Iterable[tuple[int, list[tuple[int, str]]]]
+) -> pd.DataFrame:
+    """Feed ``frames`` to ``pipe`` in order; its match rows as a frame
+    of ``RESULT_SCHEMA``.  ``objset`` is the MCOS as a comma-joined oid
+    string, joined once per distinct object set."""
+    joined: dict[tuple[int, ...], str] = {}
+    rows = []
+    for fid, objs in frames:
+        for m in pipe.feed(fid, objs):
+            objset = joined.get(m.objset)
+            if objset is None:
+                objset = joined[m.objset] = ",".join(map(str, m.objset))
+            rows.append((camera, m.fid, m.qid, objset, m.n_frames))
+    return pd.DataFrame(rows, columns=["camera", "fid", "qid", "objset", "n_frames"])
+
+
 def _frames_of_group(pdf: pd.DataFrame, n_frames: int | None) -> Iterable[tuple[int, list[tuple[int, str]]]]:
     """Yield ``(fid, [(oid, cls), ...])`` for every frame, in order,
     including empty frames up to ``n_frames`` (or max fid seen).
@@ -76,17 +93,8 @@ def evaluate_queries_batch(
     result rows stay orderable and comparable)."""
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        camera = str(pdf["camera"].iloc[0])
         pipe = QueryPipeline(queries, w=w, d=d, method=method, prune=prune)
-        rows = []
-        for fid, objs in _frames_of_group(pdf, n_frames):
-            for m in pipe.feed(fid, objs):
-                rows.append(
-                    (camera, m.fid, m.qid, ",".join(map(str, m.objset)), m.n_frames)
-                )
-        return pd.DataFrame(
-            rows, columns=["camera", "fid", "qid", "objset", "n_frames"]
-        )
+        return match_rows(str(pdf["camera"].iloc[0]), pipe, _frames_of_group(pdf, n_frames))
 
     return vr_df.groupBy("camera").applyInPandas(run, RESULT_SCHEMA)
 

@@ -30,7 +30,7 @@ from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from repro.core.evaluate import QueryPipeline
 from repro.core.queries import Query
-from repro.spark.batch import EMPTY_FRAME_OID, RESULT_SCHEMA, frames_by_fid
+from repro.spark.batch import EMPTY_FRAME_OID, RESULT_SCHEMA, frames_by_fid, match_rows
 
 STATE_SCHEMA = "blob binary"
 
@@ -47,19 +47,12 @@ def _make_update_fn(queries: list[Query], w: int, d: int, method: str, prune: bo
         else:
             pipe = QueryPipeline(queries, w=w, d=d, method=method, prune=prune)
         by_fid = frames_by_fid(pdfs)
-        rows = []
         last = pipe._last_fid
-        for fid in sorted(by_fid):
-            if last is not None and fid <= last:
-                continue  # replayed frame: already folded into state
-            for m in pipe.feed(fid, by_fid[fid]):
-                rows.append(
-                    (camera, m.fid, m.qid, ",".join(map(str, m.objset)), m.n_frames)
-                )
+        # A replayed frame (fid <= last) is already folded into the state.
+        frames = [(fid, by_fid[fid]) for fid in sorted(by_fid) if last is None or fid > last]
+        out = match_rows(camera, pipe, frames)
         state.update((pickle.dumps(pipe),))
-        yield pd.DataFrame(
-            rows, columns=["camera", "fid", "qid", "objset", "n_frames"]
-        )
+        yield out
 
     return update
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import object_stream
 from repro.core import brute
 from repro.core.evaluate import MatchRow, QueryPipeline, make_generator, mcos_stream
 from repro.core.model import ObjSetCodec
@@ -43,6 +44,7 @@ def run_differential(stream, w, d, method):
         gen.advance(fid, mask)
         gen.check_invariants()
         got = gen.results()
+        assert gen.result_sizes() == {m: len(fr) for m, fr in got.items()}, f"fid={fid}"
         want = brute.satisfied_states(window, d)
         assert got == want, (
             f"method={method} fid={fid} w={w} d={d}\n"
@@ -131,6 +133,52 @@ def test_duration_zero_and_full_window(method):
     stream = bursty_stream(30, n_objects=6, dwell=10, occl=0.1, seed=3)
     run_differential(stream, 6, 0, method)
     run_differential(stream, 6, 6, method)
+
+
+# ----------------------------------------------------------------------
+# NAIVE's result selection: buckets keyed by (live count, oldest, newest)
+# ----------------------------------------------------------------------
+def naive_after(frames: list[str], w: int, d: int):
+    """A NAIVE generator fed a letters stream, the window's frames, and
+    the mask of a letters string."""
+    codec, enc = encode_stream(letters_stream(frames))
+    gen = make_generator("naive", w, d)
+    for fid, mask in enc:
+        gen.advance(fid, mask)
+    return gen, enc[-w:], lambda letters: codec.encode_iter(map(ord, letters))
+
+
+def test_naive_keeps_incomparable_states_of_one_key():
+    """{A} holds fids 0, 1, 3 and {B} fids 0, 2, 3: one key (3, 0, 3),
+    two frame sets, and neither contains the other, so both are kept."""
+    gen, window, enc = naive_after(["AB", "A", "B", "AB"], 4, 2)
+    a, b = enc("A"), enc("B")
+    assert gen.result_sizes() == {a: 3, b: 3, a | b: 2}
+    assert gen.results() == brute.satisfied_states(window, 2)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+def test_naive_keeps_largest_of_a_chain(w):
+    """{A} ⊂ {A, B} ⊂ {A, B, C} were made at fids 0, 1 and 2; once the
+    window holds only fids with all three objects, the three states share
+    one frame set and only {A, B, C} is valid.  The bucket's count is 2
+    with w=2 and 3 with w=3."""
+    gen, window, enc = naive_after(["AX", "ABY", "ABC", "ABC", "ABC"], w, 1)
+    abc = enc("ABC")
+    lo = 5 - w
+    chain = {m: st_.live_frames(lo) for m, st_ in gen._sr.items() if m & abc == m}
+    assert len(chain) == 3 and len(set(map(tuple, chain.values()))) == 1
+    assert gen.results() == brute.satisfied_states(window, 1) == {abc: list(range(lo, 5))}
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_naive_selection_on_m1(d):
+    """200 frames of the M1 profile (moving camera, high churn) at w=30:
+    the Result State Set holds invalid states on most frames, and the
+    selection returns the oracle's states on every frame."""
+    stream = list(object_stream("M1", 0, 300)[100:])
+    gen = run_differential(stream, 30, d, "naive")
+    assert len(gen._sr) > len(gen.result_sizes()), "no invalid state in SR: weak test"
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +382,11 @@ def run_recycling(stream, w, d):
         for (method, prune), pipe in pipes.items():
             rows = pipe.feed(fid, objs)
             pipe.gen.check_invariants()
-            got = {pipe.codec.decode(m): fr for m, fr in pipe.gen.results().items()}
+            results = pipe.gen.results()
+            assert pipe.gen.result_sizes() == {m: len(fr) for m, fr in results.items()}, (
+                f"pipeline {method} prune={prune} fid={fid}"
+            )
+            got = {pipe.codec.decode(m): fr for m, fr in results.items()}
             qids = pairs_qids if prune else (lambda x: [0])
             assert got == {x: fr for x, fr in want.items() if qids(x) or not prune}, (
                 f"pipeline {method} prune={prune} fid={fid}"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.evaluate import METHODS, make_generator
 from repro.core.model import (
     ObjSetCodec,
     State,
@@ -49,16 +50,22 @@ def test_state_expiry_and_validity():
     s = State(0b1, [3, 5, 8, 9], 8)
     assert s.n_live_frames(6) == 2
     assert s.live_frames(6) == [8, 9]
-    s.expire(6)
-    assert s.frames == [8, 9]
+    assert s.frames == [3, 5, 8, 9]
 
 
-def test_state_append_frame_dedups_tail():
-    s = State(0b1)
-    s.append_frame(4)
-    s.append_frame(4)
-    s.append_frame(6)
-    assert s.frames == [4, 6]
+def test_advance_appends_each_frame_once():
+    """The frame's own object set {A, B} is also the group key of the
+    stored {A, B, C}: at fid 1 the group creates it with fid 1, at fid 2
+    (a repeated frame) the group appends fid 2, and each time the
+    principal step must not append the fid again."""
+    a, b, c = 1, 2, 4
+    for method in METHODS:
+        gen = make_generator(method, w=4, d=1)
+        for fid, mask in enumerate((a | b | c, a | b, a | b)):
+            gen.advance(fid, mask)
+        assert gen.states[a | b].frames == [0, 1, 2], method
+        assert gen.states[a | b].mark == 2, method
+        assert gen.stats["repeated"] == 1, method
 
 
 # ----------------------------------------------------------------------
