@@ -338,9 +338,13 @@ def probe() -> int:
 
 def measure(art: Artifact, point: dict) -> dict:
     """One run of a point, its times scaled to the nominal host speed.
-    ``probe_ns`` is the mean of the probes before and after the run."""
+    ``probe_ns`` is the mean of the probes before and after the run; a
+    row with no timed column (Table 6) is left as it is, so it repeats
+    byte for byte."""
     p0 = probe()
     r = art.run(**point)
+    if not r.keys() & SECONDS_COLUMNS:
+        return r
     probe_ns = (p0 + probe()) / 2
     scale = NOMINAL_PROBE_NS / probe_ns
     r = {k: v * scale if k in SECONDS_COLUMNS else v for k, v in r.items()}

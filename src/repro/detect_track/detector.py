@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.videogen.scene import GTObject
+if TYPE_CHECKING:  # repro.videogen imports this package
+    from repro.videogen.scene import GTObject
 
 Box = tuple[float, float, float, float]
 
@@ -60,30 +62,44 @@ class Detector:
 
     def detect(self, objects: list[GTObject]) -> list[Detection]:
         cfg, rng = self.cfg, self._rng
+        occ_cover, j = cfg.occ_cover, cfg.jitter
         out: list[Detection] = []
-        # Depth ordering: larger bottom edge = nearer to the camera.
-        for o in objects:
-            if not o.visible:
-                continue
-            covered = 0.0
-            for other in objects:
-                if other.oid == o.oid or not other.visible:
-                    continue
-                if other.y + other.h > o.y + o.h:  # other is nearer
-                    covered = max(covered, cover_fraction(o.box, other.box))
-            if covered >= cfg.occ_cover:
+        visible = [o for o in objects if o.visible]
+        for o in visible:
+            box = o.box
+            x, y, w, h = box
+            right, bottom = x + w, y + h
+            # Depth ordering: larger bottom edge = nearer to the camera.
+            # A nearer box that does not overlap this one covers none of
+            # it, so only overlapping pairs are scored (being nearer puts
+            # the other's bottom below this top); one cover at or above
+            # the threshold hides the object.  With no pair scored the
+            # cover is 0.0, which hides it only when occ_cover <= 0.
+            cover = 0.0
+            for other in visible:
+                oy = other.y
+                if (
+                    oy + other.h > bottom
+                    and oy < bottom
+                    and other.x < right
+                    and other.x + other.w > x
+                    and other.oid != o.oid
+                ):
+                    cover = cover_fraction(box, other.box)
+                    if cover >= occ_cover:
+                        break
+            if cover >= occ_cover:
                 continue
             if rng.random() < cfg.p_miss:
                 continue
-            j = cfg.jitter
             out.append(
                 Detection(
                     o.label,
                     (
-                        o.x + rng.gauss(0, j),
-                        o.y + rng.gauss(0, j),
-                        max(4.0, o.w + rng.gauss(0, j)),
-                        max(4.0, o.h + rng.gauss(0, j)),
+                        x + rng.gauss(0, j),
+                        y + rng.gauss(0, j),
+                        max(4.0, w + rng.gauss(0, j)),
+                        max(4.0, h + rng.gauss(0, j)),
                     ),
                 )
             )

@@ -12,12 +12,14 @@ produce id churn, exactly the imperfections the duration parameter
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import pandas as pd
 
 from repro.detect_track.detector import Detection, Detector, DetectorConfig, iou
-from repro.videogen.scene import GTObject, Scene
+
+if TYPE_CHECKING:  # repro.videogen imports this package
+    from repro.videogen.scene import GTObject, Scene
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,12 @@ class TrackerConfig:
     iou_min: float = 0.2  # association gate
     max_age: int = 25  # frames a track survives unseen
     vel_smooth: float = 0.6  # EMA factor for velocity updates
+
+    def __post_init__(self) -> None:
+        # A positive gate is what lets the tracker skip pairs whose boxes
+        # do not overlap: they score 0.0, so they never pass it.
+        if not self.iou_min > 0:
+            raise ValueError(f"iou_min must be > 0, got {self.iou_min}")
 
 
 @dataclass
@@ -50,19 +58,26 @@ class Tracker:
 
     def update(self, fid: int, detections: list[Detection]) -> list[tuple[int, int, str]]:
         cfg = self.cfg
-        # predict
-        for t in self._tracks:
+        gate = cfg.iou_min
+        # predict, and bucket the live tracks by class (with their indexes)
+        by_label: dict[str, list[tuple[int, _Track]]] = {}
+        for ti, t in enumerate(self._tracks):
             t.x += t.vx
             t.y += t.vy
-        # class-gated greedy IoU association
+            by_label.setdefault(t.label, []).append((ti, t))
+        # class-gated greedy IoU association; a pair whose boxes do not
+        # overlap scores 0.0, below the gate, so it is not scored at all
         pairs: list[tuple[float, int, int]] = []
         for di, det in enumerate(detections):
-            for ti, t in enumerate(self._tracks):
-                if t.label != det.label:
-                    continue
-                score = iou(det.box, (t.x, t.y, t.w, t.h))
-                if score >= cfg.iou_min:
-                    pairs.append((score, di, ti))
+            box = det.box
+            x, y, w, h = box
+            right, bottom = x + w, y + h
+            for ti, t in by_label.get(det.label, ()):
+                tx, ty = t.x, t.y
+                if tx < right and ty < bottom and tx + t.w > x and ty + t.h > y:
+                    score = iou(box, (tx, ty, t.w, t.h))
+                    if score >= gate:
+                        pairs.append((score, di, ti))
         pairs.sort(reverse=True)
         used_d: set[int] = set()
         used_t: set[int] = set()

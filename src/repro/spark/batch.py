@@ -36,10 +36,11 @@ def frames_by_fid(pdfs: Iterable[pd.DataFrame]) -> dict[int, list[tuple[int, str
     ``EMPTY_FRAME_OID`` marker row gives its frame an empty list."""
     by_fid: dict[int, list[tuple[int, str]]] = {}
     for pdf in pdfs:
-        for row in pdf.itertuples(index=False):
-            objs = by_fid.setdefault(int(row.fid), [])
-            if int(row.oid) != EMPTY_FRAME_OID:
-                objs.append((int(row.oid), row.cls))
+        # Column lists hold Python ints, so no per-row conversion is needed.
+        for fid, oid, cls in zip(pdf["fid"].tolist(), pdf["oid"].tolist(), pdf["cls"].tolist()):
+            objs = by_fid.setdefault(fid, [])
+            if oid != EMPTY_FRAME_OID:
+                objs.append((oid, cls))
     return by_fid
 
 

@@ -176,19 +176,19 @@ def reuse_ids(vr: pd.DataFrame, p_o: int) -> pd.DataFrame:
         .sort_values(["first", "oid"])
     )
     remap: dict[int, int] = {}
-    # per class: pool of (retirement fid, canonical id, uses so far)
+    # per class: pool of (retirement fid, canonical id, uses so far); an
+    # id leaves its pool once used p_o times, as it can never be chosen again
     pools: dict[str, list[list[int]]] = {}
     for row in spans.itertuples(index=False):
         pool = pools.setdefault(row.cls, [])
-        target = None
-        for entry in pool:
-            if entry[0] < row.first and entry[2] < p_o:
-                target = entry
+        for i, entry in enumerate(pool):
+            if entry[0] < row.first:
+                remap[row.oid] = entry[1]
+                entry[0] = row.last
+                entry[2] += 1
+                if entry[2] == p_o:
+                    del pool[i]
                 break
-        if target is not None:
-            remap[row.oid] = target[1]
-            target[0] = row.last
-            target[2] += 1
         else:
             remap[row.oid] = row.oid
             pool.append([row.last, row.oid, 0])

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.evaluate import evaluate_stream, mcos_stream
 from repro.core.queries import Condition, Query, geq_only_queries, random_cnf_queries
-from repro.spark.batch import _frames_of_group, evaluate_queries_batch
+from repro.spark.batch import EMPTY_FRAME_OID, _frames_of_group, evaluate_queries_batch, frames_by_fid
 from repro.spark.relation import vr_to_spark
 from tests.oracle import assert_equivalent
 from tests.spark.util import synthetic_vr
@@ -124,6 +124,18 @@ def test_frames_of_group_rejects_fid_out_of_range():
         list(_frames_of_group(vr(0, 2, 5), 3))
     with pytest.raises(ValueError, match=r"'cam0'.*fid -1\b"):
         list(_frames_of_group(vr(0, 2, -1), None))
+
+
+def test_frames_by_fid_groups_rows_and_markers():
+    """Rows group by fid across frames in arrival order; a marker row
+    gives its frame an empty list; keys and oids are Python ints."""
+    cols = ["camera", "fid", "oid", "cls"]
+    a = pd.DataFrame([("c", 0, 3, "car"), ("c", 2, EMPTY_FRAME_OID, ""), ("c", 0, 1, "bus")], columns=cols)
+    b = pd.DataFrame([("c", 5, 7, "person"), ("c", 0, 4, "car")], columns=cols)
+    got = frames_by_fid([a, b, a.iloc[:0]])
+    assert got == {0: [(3, "car"), (1, "bus"), (4, "car")], 2: [], 5: [(7, "person")]}
+    assert all(type(fid) is int for fid in got)
+    assert all(type(oid) is int for objs in got.values() for oid, _ in objs)
 
 
 def test_batch_multi_camera_isolation(spark):

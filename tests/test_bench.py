@@ -167,6 +167,14 @@ def test_rows_scale_times_to_nominal_host_speed(monkeypatch):
     assert bench.rows("stub") == [{"x": 1, "seconds": 0.5, "results": 7, "probe_ns": slow}]
 
 
+def test_rows_without_times_carry_no_probe(monkeypatch):
+    """A row of counts only (Table 6) is kept as measured, so the
+    artifact repeats byte for byte between runs."""
+    art = bench.Artifact("stub", "stub.csv", ("x",), lambda: [{"x": 1}], lambda x: {"results": 7})
+    monkeypatch.setitem(bench.ARTIFACTS, "stub", art)
+    assert bench.rows("stub") == [{"x": 1, "results": 7}]
+
+
 def test_run_mcos_counts_repeated_frames():
     """V1's objects dwell: many frames repeat the previous object set,
     and each one is served without visits."""
