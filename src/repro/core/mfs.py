@@ -21,13 +21,17 @@ lazily, only where the update step reads them (an append target, the
 merged frames of a new state, and the principal state), so other
 states keep up to ``w`` expired frames and read accessors take ``lo``.
 
-A *repeated frame* — one whose object set equals the previous
-non-empty frame's, while that frame is still in the window — skips
-enumeration: its groups are the previous frame's that are still
-stored, each an append whose mark already covers its generators, so
-the update is those appends and the principal's mark (DESIGN.md §5,
-"Repeated frames").  All three methods take it; it counts in
-``stats["repeated"]`` and adds nothing to ``stats["visits"]``.
+A *derived frame* — one whose previous non-empty frame ``p`` is
+still in the window, and whose entering objects (those not in ``p``)
+were all last seen before the window — skips enumeration.  No stored
+state holds an entering object, so each meets the frame as its group
+key at ``p`` does: ``p``'s keys stand in for their generators.  A key
+inside the frame is appended to; the others are grouped by what they
+keep of the frame and go through the usual append/propagate/create
+step (DESIGN.md §5, "Derived frames").  All three methods take it; it
+counts in ``stats["derived"]`` (and in ``stats["repeated"]`` when the
+frame repeats ``p``'s object set) and adds nothing to
+``stats["visits"]``.
 
 Like NAIVE, MFS intersects every stored state with each arriving
 frame; unlike NAIVE, every state carries a *Marked Frame Set* whose
@@ -73,30 +77,35 @@ class MFSGenerator:
         # query are never maintained.
         self.admit = admit
         # Enumeration cost (states scanned, or graph nodes visited),
-        # frames served without enumeration, states dropped, and bucket
-        # entries moved to a later key.
-        self.stats = {"visits": 0, "repeated": 0, "expired": 0, "refiled": 0}
+        # frames served without enumeration (derived) and those of them
+        # that repeat the previous object set, states dropped, and
+        # bucket entries moved to a later key.
+        self.stats = {"visits": 0, "derived": 0, "repeated": 0, "expired": 0, "refiled": 0}
         self._keys: list[int] = []  # heap of the bucket keys
         self._buckets: dict[int, list[State]] = {}
         self._sr: dict[int, State] = {}  # Result State Set
         self._lo = 0
-        # The previous non-empty frame's mask and fid, and the group
-        # keys of the last frame enumerated (a repeated frame's keys
-        # are among them).
+        # The previous non-empty frame's mask and fid, and its stored
+        # group keys, its own object set among them: every stored state
+        # that meets that frame meets it in one of these keys.
         self._last: tuple[int, int, list[int]] = (0, 0, [])
+        # Bit -> the last frame that held it before a non-empty frame
+        # without it: a bit entering now is held by no stored state
+        # unless that frame is in the window.
+        self._left: dict[int, int] = {}
 
     def advance(self, fid: int, objs_mask: int) -> None:
         """Process one arriving frame (fids strictly increasing) with the
         update step all methods share.
 
-        A repeated frame (the previous non-empty frame's object set,
-        that frame still in the window) skips ``_generators``.  Its
-        groups are the previous frame's keys that are still stored;
-        each is trimmed and appended to, and its mark, already the max
-        over its generators, stays.  Only the principal's mark moves.
-        Without the window condition a gap of ``w`` fids or more would
-        find the whole store expired and the principal not re-created
-        (DESIGN.md §5, "Repeated frames")."""
+        A derived frame (the previous non-empty frame ``p`` is in the
+        window, and no stored state holds an object that enters at this
+        frame) skips ``_generators``: every stored state meets the frame
+        as its group key at ``p`` does, so ``p``'s keys stand in for
+        their generators.  A key inside the frame is appended to in
+        place; the others are grouped by their cut ``key & objs_mask``,
+        and those groups go through the append/propagate/create step of
+        an enumerated frame (DESIGN.md §5, "Derived frames")."""
         lo = self._lo = self.win.lo(fid)
         d = self.win.d
         self._expire(lo)
@@ -105,63 +114,96 @@ class MFSGenerator:
             return
         states = self.states
         admit = self.admit
-        last_mask, last_fid, keys = self._last
-        if objs_mask == last_mask and last_fid >= lo:
-            # Repeated frame: appends to the previous frame's groups.
-            self.stats["repeated"] += 1
-            for inter in keys:
-                ex = states.get(inter)
-                if ex is not None:
+        last_mask, _, last_keys = self._last
+        keys: list[int] = []
+        if self._is_derived(lo, objs_mask):
+            self.stats["derived"] += 1
+            self.stats["repeated"] += objs_mask == last_mask
+            gens: dict[int, list[State]] = {}
+            for key in last_keys:
+                ex = states.get(key)
+                if ex is None:
+                    continue
+                inter = key & objs_mask
+                if inter == key:
                     fr = ex.frames
                     if fr[0] < lo:
                         del fr[: bisect_left(fr, lo)]
                     fr.append(fid)
                     if len(fr) >= d:
-                        sr[inter] = ex
+                        sr[key] = ex
+                    keys.append(key)
+                elif inter:
+                    bucket = gens.get(inter)
+                    if bucket is None:
+                        gens[inter] = [ex]
+                    else:
+                        bucket.append(ex)
         else:
             gens = self._generators(lo, objs_mask)
-            keys = list(gens)
-            for inter, glist in gens.items():
-                ex = states.get(inter)
-                if ex is not None:
-                    # Append case: ``inter == ex.objset`` and
-                    # ``ex.objset ⊆ objs_mask``.  Its length is read next,
-                    # so its frames are trimmed here.
-                    fr = ex.frames
+        for inter, glist in gens.items():
+            ex = states.get(inter)
+            if ex is not None:
+                # Append case: ``inter == ex.objset`` and ``ex.objset ⊆
+                # objs_mask``.  Its length is read next, so its frames are
+                # trimmed here.  A derived frame's key inside the frame
+                # has ``fid`` already.
+                fr = ex.frames
+                if fr[-1] != fid:
                     if fr[0] < lo:
                         del fr[: bisect_left(fr, lo)]
                     fr.append(fid)
-                    for g in glist:
-                        if g.mark > ex.mark:
-                            ex.mark = g.mark  # mark propagation (§4.2.3)
-                    if len(fr) >= d:
-                        sr[inter] = ex
-                elif admit is None or admit(inter):
-                    fr = merge_sorted_unique([g.frames for g in glist], lo)
-                    if not fr or fr[-1] != fid:
-                        fr.append(fid)
-                    st = self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
-                    if len(fr) >= d:
-                        sr[inter] = st
-        self._last = (objs_mask, fid, keys)
+                    keys.append(inter)
+                for g in glist:
+                    if g.mark > ex.mark:
+                        ex.mark = g.mark  # mark propagation (§4.2.3)
+                if len(fr) >= d:
+                    sr[inter] = ex
+            elif admit is None or admit(inter):
+                fr = merge_sorted_unique([g.frames for g in glist], lo)
+                if not fr or fr[-1] != fid:
+                    fr.append(fid)
+                st = self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
+                if len(fr) >= d:
+                    sr[inter] = st
+                keys.append(inter)
         # The arriving frame's own object set is (or becomes) a
-        # principal-style state with the arriving fid marked.  Its length
-        # is read, so it is trimmed: a repeated frame's groups leave out a
-        # principal state the previous frame created.  Its append is
-        # guarded: when a stored state contains the frame's object set,
-        # the principal is a group key and has ``fid`` already.
+        # principal-style state with the arriving fid marked.  A stored
+        # one contains the frame's object set, so it is a group key and
+        # was appended to above.
         st = states.get(objs_mask)
         if st is not None:
-            fr = st.frames
-            if fr[0] < lo:
-                del fr[: bisect_left(fr, lo)]
-            if fr[-1] != fid:
-                fr.append(fid)
             st.mark = fid
         elif admit is None or admit(objs_mask):
             st = self._create(objs_mask, [fid], fid, None, keys)
-        if st is not None and len(st.frames) >= d:
-            sr[objs_mask] = st
+            if d <= 1:
+                sr[objs_mask] = st
+            keys.append(objs_mask)
+        self._last = (objs_mask, fid, keys)
+
+    def _is_derived(self, lo: int, objs_mask: int) -> bool:
+        """Record in ``_left`` the bits that left since the previous
+        non-empty frame ``p``; then whether ``p`` is in the window and
+        every bit entering now was last seen before it, so that no
+        stored state holds one."""
+        last_mask, last_fid, _ = self._last
+        if not last_mask:
+            return False
+        left = self._left
+        gone = last_mask & ~objs_mask
+        while gone:
+            low = gone & -gone
+            left[low.bit_length() - 1] = last_fid
+            gone ^= low
+        if last_fid < lo:
+            return False
+        new = objs_mask & ~last_mask
+        while new:
+            low = new & -new
+            if left.get(low.bit_length() - 1, lo - 1) >= lo:
+                return False
+            new ^= low
+        return True
 
     def _key(self, st: State) -> int:
         """Death key: the state is dropped once this fid expires."""
@@ -244,3 +286,12 @@ class MFSGenerator:
         assert {id(st) for _, st in filed} == set(map(id, self.states.values())), "filing"
         for key, st in filed:
             assert self._lo <= key <= self._key(st), f"key {key} outside [lo, death key]"
+        # What a derived frame relies on: a stored state meets the last
+        # non-empty frame in a listed key, unless ``admit`` refused it.
+        last_mask, _, keys = self._last
+        listed = set(keys)
+        assert len(listed) == len(keys), "a group key listed twice"
+        for mask in self.states:
+            inter = mask & last_mask
+            if inter and (self.admit is None or inter in self.states):
+                assert inter in listed, "a stored state meets the last frame in no listed key"

@@ -41,6 +41,9 @@ ambiguities resolved:
   below the generator the update step passes; a new principal state
   takes every intersection state of its frame that is still a root
   (CNPS, §4.3.5), in any order, without the descending-cardinality sort.
+  A derived frame (:mod:`repro.core.mfs`) skips the traversal; the
+  generator it passes is a group key of the previous frame standing in
+  for the generators, a superset of the new state all the same.
 - The shared expiry removes a state the frame its newest mark expires,
   not when the traversal next meets it (``pruneState``), hanging its
   children below its parent (or promoting them to roots), so the

@@ -361,8 +361,10 @@ def run_recycling(stream, w, d):
     every frame against the oracle (on masks of a codec that never
     releases a bit).  The pipelines' codec width must stay within the
     most distinct objects of any 2w consecutive frames, and below the
-    stream's object count."""
+    stream's object count.  Returns how often a pipeline met a derived
+    frame with a new object on a recycled bit."""
     ref, enc = encode_stream(stream)
+    recycled = 0
     gens = {m: mcos_stream(stream, w=w, d=d, method=m) for m in METHODS}
     pipes = {
         (m, prune): QueryPipeline(PAIRS if prune else ANY, w=w, d=d, method=m, prune=prune)
@@ -380,8 +382,13 @@ def run_recycling(stream, w, d):
         for method in METHODS:
             assert next(gens[method]) == (fid, want), f"mcos_stream {method} fid={fid}"
         for (method, prune), pipe in pipes.items():
+            width, derived = len(pipe.codec), pipe.gen.stats["derived"]
+            fresh = [o for o in oids if o not in pipe.codec]
             rows = pipe.feed(fid, objs)
             pipe.gen.check_invariants()
+            recycled += pipe.gen.stats["derived"] > derived and any(
+                pipe.codec._bit_of[o] < width for o in fresh
+            )
             results = pipe.gen.results()
             assert pipe.gen.result_sizes() == {m: len(fr) for m, fr in results.items()}, (
                 f"pipeline {method} prune={prune} fid={fid}"
@@ -399,6 +406,7 @@ def run_recycling(stream, w, d):
     assert {len(p.codec) for p in pipes.values()} == {len(pipes["mfs", False].codec)} and (
         len(pipes["mfs", False].codec) < n_objects
     ), "no bit was recycled: weak test"
+    return recycled
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -455,3 +463,133 @@ def test_repeated_frame_with_terminated_group(method):
     assert before[0] == 1, "the group was not terminated: weak test"
     assert (pipe.stats.terminated, pipe.stats.evaluations) == before[:2]
     assert pipe.gen.stats["repeated"] == before[2] + 1
+
+
+# ----------------------------------------------------------------------
+# Derived frames: no stored state holds an object entering the frame
+# ----------------------------------------------------------------------
+def derived_stream(w: int, seed: int) -> list[tuple[int, list[int]]]:
+    """Short-lived objects, some returning, held for runs of equal
+    frames, with empty frames and fid gaps of 1, 2, ``w - 1``, ``w`` and
+    ``w + 3`` between non-empty frames."""
+    rng = random.Random(seed)
+    gaps = [g for g in (1, 1, 1, 2, w - 1, w, w + 3) if g > 0]
+    base = churn_stream(50, arrivals=0.8, dwell=5, p_return=0.4, seed=seed)
+    fid, stream = 0, []
+    for _, objs in held_stream(base, hold=3, seed=seed):
+        if rng.random() < 0.15:
+            stream.append((fid, []))
+            fid += 1
+        stream.append((fid, objs))
+        fid += rng.choice(gaps)
+    return stream
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("w,d", [(1, 1), (2, 1), (2, 2), (5, 2), (8, 3)])
+def test_derived_frame_counters(method, seed, w, d):
+    """A non-empty frame is derived iff the previous non-empty frame
+    ``p`` is in the window and every object entering at it (absent from
+    ``p``) is absent from the window's earlier frames too.  A derived
+    frame adds 1 to ``derived``, 0 to ``visits``, and 1 to ``repeated``
+    iff it repeats ``p``'s object set; any other frame adds 0 to both.
+    With w=1 ``p`` has always left the window, so no frame is derived.
+    Results equal the oracle's after every frame."""
+    stream = derived_stream(w, seed)
+    _, enc = encode_stream(stream)
+    gen = make_generator(method, w, d)
+    window: list[tuple[int, int]] = []
+    last = None  # previous non-empty frame
+    counts = {"derived": 0, "cut": 0, "enumerated": 0}
+    for fid, mask in enc:
+        lo = fid - w + 1
+        window = [(f, m) for f, m in window if f >= lo]
+        held = 0
+        for _, m in window:
+            held |= m
+        derived = bool(mask) and last is not None and last[0] >= lo and not (
+            mask & ~last[1] & held
+        )
+        before = dict(gen.stats)
+        gen.advance(fid, mask)
+        gen.check_invariants()
+        window.append((fid, mask))
+        delta = {k: v - before[k] for k, v in gen.stats.items()}
+        assert delta["derived"] == derived, f"fid={fid}"
+        assert delta["repeated"] == (derived and mask == last[1]), f"fid={fid}"
+        if derived:
+            assert delta["visits"] == 0, f"fid={fid}"
+            counts["derived"] += 1
+            counts["cut"] += mask != last[1]
+        elif mask:
+            counts["enumerated"] += 1
+        assert gen.results() == brute.satisfied_states(window, d), f"fid={fid}"
+        if mask:
+            last = (fid, mask)
+    assert counts["enumerated"] > 0 and (counts["cut"] > 0 or w == 1), f"weak test: {counts}"
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("w,derived", [(2, True), (3, False), (4, False)])
+def test_reentering_object_forces_enumeration(method, w, derived):
+    """B leaves at frame 1 and comes back at frame 2.  With w=2 its
+    only earlier frame, 0, has left the window, so no stored state holds
+    B and frame 2 is derived; with w=3 or 4 frame 0 is still in the
+    window, {A, B} is stored, and frame 2 is enumerated."""
+    _, enc = encode_stream(letters_stream(["AB", "A", "AB"]))
+    gen = make_generator(method, w, 1)
+    for fid, mask in enc[:2]:
+        gen.advance(fid, mask)
+    before = dict(gen.stats)
+    gen.advance(*enc[2])
+    gen.check_invariants()
+    assert gen.stats["derived"] - before["derived"] == derived
+    assert (gen.stats["visits"] == before["visits"]) == derived
+    assert gen.results() == brute.satisfied_states(enc[max(0, 3 - w) :], 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_derived_frames_keep_marks_exact(method):
+    """Objects come and go, so most frames are derived without being
+    repeats; the newest mark of every state stays on the oracle's
+    validity threshold (see the test above)."""
+    gen = check_marks(method, derived_stream(8, 0))
+    assert gen.stats["derived"] > gen.stats["repeated"] > 0
+
+
+def test_recycled_bits_enter_derived_frames():
+    """A new object that takes a bit the codec released enters a frame
+    that may still be derived: the bit's old object left the window, so
+    no stored state holds it.  ``run_recycling`` checks every pipeline
+    against the oracle after every frame; here it must meet such
+    frames, on short-lived objects and on held frames."""
+    n = run_recycling(churn_stream(120, arrivals=1.3, dwell=4, seed=0), 4, 2)
+    n += run_recycling(held_stream(churn_stream(60, dwell=5, seed=1), seed=1), 6, 3)
+    assert n > 0, "no recycled bit entered a derived frame: weak test"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_derived_frame_with_terminated_cut_group(method):
+    """§5.3 pruning.  Frame 1 keeps 1, 2 and 4 of frame 0 and brings
+    person 8, new to the stream, so it is derived: its cut group
+    {1, 2, 4} (one car, two people) fails both PAIRS queries and is
+    terminated, while its own object set (three people) is admitted.
+    Rows and results equal the oracle's over the admitted object sets."""
+    stream = [(0, [1, 2, 3, 4, 6]), (1, [1, 2, 4, 8])]
+    ref, enc = encode_stream(stream)
+    pipe = QueryPipeline(PAIRS, w=4, d=1, method=method, prune=True)
+    for i, (fid, oids) in enumerate(stream):
+        before = (pipe.stats.terminated, pipe.gen.stats["derived"], pipe.gen.stats["visits"])
+        rows = pipe.feed(fid, [(o, "car" if o % 2 else "person") for o in oids])
+        pipe.gen.check_invariants()
+        want = {ref.decode(m): fr for m, fr in brute.satisfied_states(enc[: i + 1], 1).items()}
+        want = {x: fr for x, fr in want.items() if pairs_qids(x)}
+        assert {pipe.codec.decode(m): fr for m, fr in pipe.gen.results().items()} == want
+        assert sorted(rows) == sorted(
+            MatchRow(fid, q, x, len(fr)) for x, fr in want.items() for q in pairs_qids(x)
+        ), f"fid={fid}"
+    assert pipe.gen.stats["derived"] == before[1] + 1 and pipe.gen.stats["visits"] == before[2]
+    assert pipe.stats.terminated == before[0] + 1
+    assert (1, 2, 4) not in {pipe.codec.decode(m) for m in pipe.gen.states}
+    assert (1, 2, 4, 8) in {pipe.codec.decode(m) for m in pipe.gen.states}

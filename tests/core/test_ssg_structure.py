@@ -59,9 +59,13 @@ def test_graph_shape_deterministic(seed):
 
 def test_traversal_skips_disjoint_subtrees():
     """Frames about a disjoint object group must not visit the other
-    group's subtree — the core SSG pruning claim (§4.3)."""
+    group's subtree — the core SSG pruning claim (§4.3).  Group 2's
+    object x shows once among group 1's frames, so group 2's first
+    frame brings back an object of the window and is enumerated: a
+    frame of objects no stored state holds is derived and visits
+    nothing."""
     # Group 1: objects a,b,c recur; then group 2: x,y,z recur.
-    g1 = ["abc", "ab", "abc", "ac", "abc"]
+    g1 = ["abc", "ab", "abc", "ac", "x", "abc"]
     g2 = ["xyz", "xy", "xyz", "xz", "xyz"]
     stream = letters_stream(g1 + g2)
     _, enc = encode_stream(stream)

@@ -10,7 +10,8 @@ checks it.  The codec width and the sizes of the two mask-keyed caches
 must be equal too: ``mid`` is past ``w``, so the codec has released bits
 before the pickle, and the resumed pipeline must keep the same release
 schedule.  A pickle taken between two equal frames must carry what the
-second needs to skip enumeration.
+second needs to skip enumeration, and one taken before a derived frame
+what that frame builds its groups from.
 """
 from __future__ import annotations
 
@@ -63,6 +64,41 @@ def test_pickle_between_equal_frames(method):
         if fid == stream[mid][0]:
             assert pipe.gen.stats["repeated"] == repeated + 1
         pipe.gen.check_invariants()
+    assert pipe.stats == ref.stats and pipe.gen.stats == ref.gen.stats
+
+
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+def test_pickle_before_derived_frame(method):
+    """Pickled right before a derived frame that is not a repeat (M1,
+    moving camera: objects leave, or enter held by no stored state): the
+    resumed pipeline builds that frame's groups from the previous
+    frame's group keys and the bits' departure fids it carried through
+    the pickle, and resumes exactly."""
+    stream = labeled_stream("M1", 0, DATASETS["M1"].scene.n_frames)
+    probe = QueryPipeline(fig10_queries()[:10], w=DEFAULT_W, d=DEFAULT_D, method=method)
+    mid = None
+    for i, (fid, objs) in enumerate(stream):
+        before = dict(probe.gen.stats)
+        probe.feed(fid, objs)
+        cut = probe.gen.stats["derived"] > before["derived"] and (
+            probe.gen.stats["repeated"] == before["repeated"]
+        )
+        if cut and i >= len(stream) // 2:
+            mid = i
+            break
+    assert mid is not None, "no derived frame past mid-stream: weak test"
+    ref = QueryPipeline(fig10_queries()[:10], w=DEFAULT_W, d=DEFAULT_D, method=method)
+    for fid, objs in stream[:mid]:
+        ref.feed(fid, objs)
+    pipe = pickle.loads(pickle.dumps(ref))
+    derived = ref.gen.stats["derived"]
+    for fid, objs in stream[mid:]:
+        assert pipe.feed(fid, objs) == ref.feed(fid, objs), f"fid={fid}"
+        assert pipe.gen.results() == ref.gen.results(), f"fid={fid}"
+        if fid == stream[mid][0]:
+            assert pipe.gen.stats["derived"] == derived + 1
+            pipe.gen.check_invariants()
+    pipe.gen.check_invariants()
     assert pipe.stats == ref.stats and pipe.gen.stats == ref.gen.stats
 
 

@@ -189,6 +189,40 @@ def test_run_mcos_counts_repeated_frames():
     assert {r["repeated"] for r in runs.values()} == {repeats} and repeats > 0
 
 
+def test_run_mcos_counts_derived_frames():
+    """M1's objects come and go: beyond the repeats, many frames only
+    lose objects, or gain ones no stored state holds, and each is
+    derived from the previous frame's groups.  Every method derives the
+    same frames, and they include the repeats."""
+    stream = bench.object_stream("M1")
+    w, d = bench.scaled_w_d()
+    runs = {m: bench.run_mcos(stream, m, w, d) for m in ("naive", "mfs", "ssg")}
+    assert len({(r["derived"], r["repeated"]) for r in runs.values()}) == 1
+    r = runs["mfs"]
+    assert r["derived"] > r["repeated"] and r["derived"] > 0
+
+
+def test_fig10_rows_share_one_tracking_time_per_dataset(monkeypatch):
+    """The substrate build does not depend on the method, so it is
+    timed once per dataset and every row of that dataset carries the
+    same tracking time; seconds per query add it to the row's own
+    evaluation time."""
+    art = bench.ARTIFACTS["fig10"]
+    grid = [{"dataset": name, "method": m} for name in ("V2", "M1") for m in bench.METHODS]
+    monkeypatch.setitem(bench.ARTIFACTS, "fig10", bench.Artifact(
+        art.title, art.csv, art.columns, lambda: grid, art.run, art.finish
+    ))
+    rows = bench.rows("fig10")
+    assert [(r["dataset"], r["method"]) for r in rows] == [tuple(p.values()) for p in grid]
+    for name in ("V2", "M1"):
+        tracks = {r["track_seconds"] for r in rows if r["dataset"] == name}
+        assert len(tracks) == 1 and tracks.pop() > 0
+    for r in rows:
+        total = (r["track_seconds"] + r["eval_seconds"]) / bench.FIG10_QUERIES
+        assert r["sec_per_query"] == pytest.approx(total)
+    assert list(rows[0]) == [*art.columns, "probe_ns"]
+
+
 def test_format_rows_aligned():
     txt = bench.format_rows(
         [{"a": 1, "b": 0.5}, {"a": 22, "b": 0.25}], ["a", "b"]
