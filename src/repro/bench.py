@@ -5,9 +5,9 @@
 lists the artifact's points as dicts (dataset, swept parameter,
 method), and ``run(**point)``, which measures one point.
 ``rows(name)`` is ``{**p, **run(**p)}`` for each ``p`` of ``grid()``,
-best of ``REPEATS`` runs with times scaled to a nominal host speed: the
-table of numbers the paper plots.  Two entry points share the
-registry:
+best of ``REPEATS`` runs with times scaled to a nominal host speed,
+with the ``spread`` of their times: the table of numbers the paper
+plots.  Two entry points share the registry:
 
 - ``python -m repro.bench [artifact ...]`` prints each table and writes
   its CSV to ``REPRO_RESULTS_DIR`` (default ``<repo>/results``);
@@ -30,18 +30,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import repro.videogen.datasets as vd
-from repro.core.evaluate import QueryPipeline, advance_frame, make_generator
+from repro.core.evaluate import METHODS, QueryPipeline, advance_frame, make_generator
 from repro.core.model import ObjSetCodec
 from repro.core.queries import Query, geq_only_queries, random_cnf_queries
-from repro.videogen.datasets import DATASETS, PAPER_TABLE6, build_vr, vr_stats
+from repro.videogen.datasets import DATASETS, PAPER_TABLE6, build_vr, make_vr, vr_stats
 
 DATASET_ORDER = ("V1", "V2", "D1", "D2", "M1", "M2")
 
 DEFAULT_W = 300
 DEFAULT_D = 240
 
-METHODS = ("naive", "mfs", "ssg")
 # ``*_e`` evaluate CNFEvalE on the full Result State Set; ``*_o``
 # additionally terminate states per §5.3.
 FIG9_METHODS = ("naive_e", "mfs_e", "ssg_e", "mfs_o", "ssg_o")
@@ -80,17 +78,8 @@ def fig10_queries() -> list[Query]:
 
 
 @lru_cache(maxsize=64)
-def object_stream(name: str, p_o: int = 0, n_frames: int | None = None):
-    """``[(fid, (oid, ...)), ...]`` for a dataset profile (cached)."""
-    n = n_frames if n_frames is not None else dataset_frames(name)
-    vr = build_vr(name, p_o=p_o, n_frames=n)
-    by_fid = vr.groupby("fid")["oid"].apply(tuple)
-    return tuple((fid, tuple(by_fid.get(fid, ()))) for fid in range(n))
-
-
-@lru_cache(maxsize=64)
 def labeled_stream(name: str, p_o: int = 0, n_frames: int | None = None):
-    """``[(fid, ((oid, cls), ...)), ...]`` for query-evaluation runs."""
+    """``[(fid, ((oid, cls), ...)), ...]`` for a dataset profile (cached)."""
     n = n_frames if n_frames is not None else dataset_frames(name)
     vr = build_vr(name, p_o=p_o, n_frames=n)
     by_fid = {
@@ -98,6 +87,15 @@ def labeled_stream(name: str, p_o: int = 0, n_frames: int | None = None):
         for fid, g in vr.groupby("fid")
     }
     return tuple((fid, by_fid.get(fid, ())) for fid in range(n))
+
+
+@lru_cache(maxsize=64)
+def object_stream(name: str, p_o: int = 0, n_frames: int | None = None):
+    """``[(fid, (oid, ...)), ...]``: :func:`labeled_stream` without the
+    classes, for MCOS-only runs (cached)."""
+    return tuple(
+        (fid, tuple(oid for oid, _ in objs)) for fid, objs in labeled_stream(name, p_o, n_frames)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -226,10 +224,9 @@ def substrate_seconds(dataset: str, n_frames: int) -> float:
     methods' rows: the build does not depend on the method."""
     best = float("inf")
     for _ in range(REPEATS):
-        vd._VR_CACHE.pop((dataset, 0, n_frames, None, None), None)
         p0 = probe()
         t0 = time.perf_counter()
-        build_vr(dataset, n_frames=n_frames)
+        make_vr(dataset, n_frames=n_frames)
         elapsed = time.perf_counter() - t0
         best = min(best, elapsed * NOMINAL_PROBE_NS / ((p0 + probe()) / 2))
     return best
@@ -381,7 +378,9 @@ def measure(art: Artifact, point: dict) -> dict:
 def rows(name: str) -> list[dict]:
     """Every point of an artifact, measured: the paper's table.  Each
     point is run ``REPEATS`` times, interleaved over the grid, and its
-    fastest run (after scaling) is kept."""
+    fastest run (after scaling) is kept.  A timed row adds ``spread``,
+    (slowest - fastest) / fastest of the runs' summed seconds: two rows
+    whose gap is within it are not ranked by this table."""
     art = ARTIFACTS[name]
     grid = art.grid()
     runs = [[measure(art, p) for p in grid] for _ in range(REPEATS)]
@@ -390,8 +389,12 @@ def rows(name: str) -> list[dict]:
         counts = [{k: v for k, v in r.items() if k not in TIME_COLUMNS} for r in reps]
         if any(c != counts[0] for c in counts):
             raise RuntimeError(f"{name} {p}: counts differ between runs: {counts}")
-        best = min(reps, key=lambda r: sum(r.get(k, 0.0) for k in SECONDS_COLUMNS))
-        out.append({**p, **best})
+        total = [sum(r.get(k, 0.0) for k in SECONDS_COLUMNS) for r in reps]
+        best = reps[total.index(min(total))]
+        row = {**p, **best}
+        if best.keys() & SECONDS_COLUMNS:
+            row["spread"] = (max(total) - min(total)) / min(total)
+        out.append(row)
     return out
 
 
@@ -440,7 +443,8 @@ def main(names: list[str]) -> None:
     for name in names or ARTIFACTS:
         art = ARTIFACTS[name]
         table = rows(name)
-        print(f"\n=== {art.title} ===\n{format_rows(table, art.columns)}", flush=True)
+        columns = [c for c in (*art.columns, "spread") if c in table[0]]
+        print(f"\n=== {art.title} ===\n{format_rows(table, columns)}", flush=True)
         print(f"[saved {save_csv(table, art.csv)}]", file=sys.stderr)
 
 

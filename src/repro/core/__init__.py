@@ -18,4 +18,4 @@ enumeration (scan every state, or ST traversal for SSG) and validity
 (drop a state when its newest mark expires, or, for NAIVE, keep the
 marks unread and filter at result time).
 """
-from repro.core.model import ObjSetCodec, State, Window  # noqa: F401
+from repro.core.model import ObjSetCodec, State  # noqa: F401

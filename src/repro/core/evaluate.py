@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from repro.core.cnf import CNFEvalE
 from repro.core.mfs import MFSGenerator
-from repro.core.model import ObjSetCodec, iter_frames
+from repro.core.model import ObjSetCodec
 from repro.core.naive import NaiveGenerator
 from repro.core.queries import Query, query_labels
 from repro.core.ssg import SSGGenerator
@@ -53,7 +53,6 @@ class MatchRow(NamedTuple):
 
 @dataclass
 class PipelineStats:
-    frames: int = 0
     result_states: int = 0
     matches: int = 0
     terminated: int = 0
@@ -88,12 +87,10 @@ class QueryPipeline:
             raise ValueError(
                 "termination pruning (§5.3) requires a >=-only workload"
             )
-        self.queries = queries
         self.labels = tuple(sorted(query_labels(queries)))
         self.engine = CNFEvalE(queries)
         self.codec = ObjSetCodec()
         self.label_of: dict[int, str] = {}
-        self.prune = prune
         # One bitmask per label of ``labels``: an object's codec bit is
         # set in its class's mask when the codec assigns the bit, and
         # cleared when the codec releases it.
@@ -179,13 +176,12 @@ class QueryPipeline:
         self._last_fid = fid
         label_of.update(fresh)
         for oid, label in unassigned.items():
-            self._class_masks[self._class_index[label]] |= codec.encode_one(oid)
+            self._class_masks[self._class_index[label]] |= codec.encode_iter((oid,))
         freed = advance_frame(self.gen, codec, fid, keep)
         if freed:
             self._forget(freed)
         rows: list[MatchRow] = []
         sizes = self.gen.result_sizes()
-        self.stats.frames += 1
         self.stats.result_states += len(sizes)
         # ``tuple.__new__`` builds each row without the namedtuple's
         # Python-level ``__new__``.
@@ -204,7 +200,7 @@ def advance_frame(gen, codec: ObjSetCodec, fid: int, oids: Iterable[int]) -> int
     mask.  The release must follow ``advance``, whose expiry it relies
     on (see :meth:`ObjSetCodec.release`)."""
     gen.advance(fid, codec.encode_iter(oids))
-    return codec.release(fid, gen.win.lo(fid))
+    return codec.release(fid, fid - gen.w + 1)
 
 
 def evaluate_stream(
@@ -235,6 +231,11 @@ def mcos_stream(
     satisfied Result State Set per frame, decoded to oid tuples."""
     codec = ObjSetCodec()
     gen = make_generator(method, w, d)
-    for fid, oids in iter_frames(frames):
+    last = None
+    for fid, oids in frames:
+        fid = int(fid)
+        if last is not None and fid <= last:
+            raise ValueError(f"frames must arrive in strictly increasing fid order: {fid} after {last}")
+        last = fid
         advance_frame(gen, codec, fid, oids)
         yield fid, {codec.decode(m): fr for m, fr in gen.results().items()}

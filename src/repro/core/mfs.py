@@ -13,9 +13,11 @@ Expiry and result collection touch only the states they concern.
 Every stored state is filed under its *death key* (``_key``: newest
 mark, or NAIVE's newest frame) in buckets popped in key order; a state
 whose key has moved up since is re-filed when its old bucket pops.
-The Result State Set (§4.3.7) is ``SR_i = revalidate(SR_{i-1}) ∪
-{satisfied states updated at i}``; ``result_sizes`` reads its states'
-live frame counts, and ``results`` their frames.  Enumeration costs
+The update step writes Result State Set (§4.3.7) membership: a stored
+state joins when an append or a creation brings it to ``d`` live
+frames, and leaves when it is dropped.  Only ``result_sizes`` filters
+it, keeping the members that still hold ``d`` live frames (the paper's
+revalidation); ``results`` lists their frames.  Enumeration costs
 one ``&`` and one group probe per state it meets: frames are trimmed
 lazily, only where the update step reads them (an append target, the
 merged frames of a new state, and the principal state), so other
@@ -61,7 +63,7 @@ from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Callable, Iterable
 
-from repro.core.model import State, Window, merge_sorted_unique
+from repro.core.model import State, merge_sorted_unique
 
 
 class MFSGenerator:
@@ -70,7 +72,11 @@ class MFSGenerator:
     state_cls = State
 
     def __init__(self, w: int, d: int, admit: Callable[[int], bool] | None = None) -> None:
-        self.win = Window(w, d)
+        if w <= 0:
+            raise ValueError(f"window size must be positive, got {w}")
+        if not (0 <= d <= w):
+            raise ValueError(f"duration must satisfy 0 <= d <= w, got d={d} w={w}")
+        self.w, self.d = w, d
         self.states: dict[int, State] = {}
         # Section 5.3 termination hook (the *_O variants):
         # ``admit(mask) -> bool``; object sets failing every >=-only
@@ -83,7 +89,7 @@ class MFSGenerator:
         self.stats = {"visits": 0, "derived": 0, "repeated": 0, "expired": 0, "refiled": 0}
         self._keys: list[int] = []  # heap of the bucket keys
         self._buckets: dict[int, list[State]] = {}
-        self._sr: dict[int, State] = {}  # Result State Set
+        self._sr: dict[int, State] = {}  # Result State Set, filtered by result_sizes
         self._lo = 0
         # The previous non-empty frame's mask and fid, and its stored
         # group keys, its own object set among them: every stored state
@@ -106,10 +112,10 @@ class MFSGenerator:
         place; the others are grouped by their cut ``key & objs_mask``,
         and those groups go through the append/propagate/create step of
         an enumerated frame (DESIGN.md §5, "Derived frames")."""
-        lo = self._lo = self.win.lo(fid)
-        d = self.win.d
+        lo = self._lo = fid - self.w + 1
+        d = self.d
         self._expire(lo)
-        sr = self._sr = {m: s for m, s in self._sr.items() if s.n_live_frames(lo) >= d}
+        sr = self._sr
         if not objs_mask:
             return
         states = self.states
@@ -265,15 +271,18 @@ class MFSGenerator:
 
     def result_sizes(self) -> dict[int, int]:
         """Satisfied valid states as ``{mask: live frame count}``: the
-        Result State Set, whose states are all valid here.  NAIVE
-        overrides it with its selection of the valid states."""
-        lo = self._lo
-        return {mask: st.n_live_frames(lo) for mask, st in self._sr.items()}
+        states of the Result State Set that still hold ``d`` live frames,
+        all valid here.  NAIVE overrides it with its selection of the
+        valid states."""
+        lo, d = self._lo, self.d
+        return {mask: n for mask, st in self._sr.items() if (n := st.n_live_frames(lo)) >= d}
 
     def results(self) -> dict[int, list[int]]:
         """The states of :meth:`result_sizes` as ``{mask: live frames}``."""
-        lo = self._lo
-        return {mask: st.live_frames(lo) for mask, st in self._sr.items()}
+        sr = self._sr
+        # A stored state's newest frame is live, so ``n >= 1`` and its
+        # live frames are its last ``n``.
+        return {mask: sr[mask].frames[-n:] for mask, n in self.result_sizes().items()}
 
     def n_states(self) -> int:
         return len(self.states)

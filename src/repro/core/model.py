@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class ObjSetCodec:
@@ -103,10 +103,6 @@ class ObjSetCodec:
         """Whether ``oid`` holds a bit now."""
         return oid in self._bit_of
 
-    def encode_one(self, oid: int) -> int:
-        """Bitmask with only ``oid``'s bit set."""
-        return self.encode_iter((oid,))
-
     def decode(self, mask: int) -> tuple[int, ...]:
         """Sorted tuple of object ids present in ``mask``."""
         oid_of = self._oid_of
@@ -155,12 +151,6 @@ class State:
             return len(fr)
         return len(fr) - bisect_left(fr, lo)
 
-    def live_frames(self, lo: int) -> list[int]:
-        fr = self.frames
-        if not fr or fr[0] >= lo:
-            return list(fr)
-        return fr[bisect_left(fr, lo) :]
-
 
 def merge_sorted_unique(lists: list[list[int]], lo: int) -> list[int]:
     """Union of sorted int lists from ``lo`` on, as a new sorted list.
@@ -180,30 +170,3 @@ def merge_sorted_unique(lists: list[list[int]], lo: int) -> list[int]:
     fr = sorted(seen)
     del fr[: bisect_left(fr, lo)]
     return fr
-
-
-class Window:
-    """Window arithmetic helper shared by all generators."""
-
-    def __init__(self, w: int, d: int) -> None:
-        if w <= 0:
-            raise ValueError(f"window size must be positive, got {w}")
-        if not (0 <= d <= w):
-            raise ValueError(f"duration must satisfy 0 <= d <= w, got d={d} w={w}")
-        self.w = w
-        self.d = d
-
-    def lo(self, fid: int) -> int:
-        """Lowest fid inside the window ending at ``fid``."""
-        return fid - self.w + 1
-
-
-def iter_frames(frames: Iterable[tuple[int, Iterable[int]]]) -> Iterator[tuple[int, list[int]]]:
-    """Normalize a frame stream to ``(fid, [oid, ...])`` and check order."""
-    last = None
-    for fid, oids in frames:
-        fid = int(fid)
-        if last is not None and fid <= last:
-            raise ValueError(f"frames must arrive in strictly increasing fid order: {fid} after {last}")
-        last = fid
-        yield fid, list(oids)

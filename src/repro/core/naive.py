@@ -7,7 +7,8 @@ every arriving frame until their whole frame set expires.  Both costs
 are the ones MFS/SSG exist to avoid.
 
 The paper filters by grouping the Result State Set by frame set and
-keeping the largest object set of each group.  Here the group key is
+keeping the largest object set of each group.  Here the states with
+fewer than ``d`` live frames are skipped first, and the group key is
 ``(live count, oldest live fid, newest fid)``, not the frame list
 itself.  Frame sets are complete (every window frame holding the
 object set), so a state strictly containing another with an equal
@@ -54,7 +55,7 @@ class NaiveGenerator(MFSGenerator):
         sr = self._sr
         if not sr:
             return {}
-        lo = self._lo
+        lo, d = self._lo, self.d
         first: dict[tuple[int, int, int], int] = {}  # bucket key -> first mask
         setdefault = first.setdefault
         out: dict[int, int] = {}
@@ -68,6 +69,8 @@ class NaiveGenerator(MFSGenerator):
             else:
                 n = len(fr)
                 key = (n, fr[0], fr[-1])
+            if n < d:
+                continue
             if setdefault(key, mask) is mask:
                 out[mask] = n
             else:
@@ -84,10 +87,3 @@ class NaiveGenerator(MFSGenerator):
                     kept.append(mask)
                     out[mask] = n
         return out
-
-    def results(self) -> dict[int, list[int]]:
-        """The states of :meth:`result_sizes` as ``{mask: live frames}``."""
-        sr = self._sr
-        # A stored state's newest frame is live, so ``n >= 1`` and its
-        # live frames are its last ``n``.
-        return {mask: sr[mask].frames[-n:] for mask, n in self.result_sizes().items()}

@@ -10,5 +10,5 @@ runtime.  Three entry points:
   ``groupBy(camera).applyInPandas`` (one stateful pass per camera).
 - :mod:`repro.spark.streaming` — Structured Streaming with
   ``applyInPandasWithState``; the GroupState carries the pickled
-  generator, matching the windowed-stateful-operator framing.
+  pipeline, matching the windowed-stateful-operator framing.
 """

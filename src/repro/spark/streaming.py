@@ -16,8 +16,9 @@ Protocol requirements (asserted by the tests):
   ``oid = -1`` (:data:`repro.spark.batch.EMPTY_FRAME_OID`) so the
   window can advance;
 - fids arrive in non-decreasing order across micro-batches for a
-  given camera (frames already processed are skipped, so replays are
-  tolerated; genuinely out-of-order frames are not).
+  given camera.  ``update`` drops every frame whose fid is at or below
+  the last one it processed, without a trace: a replayed frame is
+  skipped, and so is a late frame with new content.
 """
 from __future__ import annotations
 

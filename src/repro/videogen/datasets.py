@@ -16,7 +16,7 @@ exactly as described in Section 6.2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pandas as pd
 
@@ -115,46 +115,42 @@ def dataset_profile(name: str) -> DatasetProfile:
         raise KeyError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}") from None
 
 
-_VR_CACHE: dict[tuple, pd.DataFrame] = {}
-
-
-def build_vr(
-    name: str,
-    *,
-    p_o: int = 0,
-    n_frames: int | None = None,
-    seed: int | None = None,
-    camera: str | None = None,
+def make_vr(
+    name: str, *, p_o: int = 0, n_frames: int | None = None, seed: int | None = None
 ) -> pd.DataFrame:
-    """VR relation for a dataset profile (memoised per parameterset).
+    """VR relation for a dataset profile, built afresh.
 
     ``p_o`` applies the Figure 7 id-reuse occlusion knob; ``n_frames``
     truncates the scene (Figure 4 sweeps); ``seed`` overrides the
     profile seed for multi-trial runs.
     """
-    key = (name, p_o, n_frames, seed, camera)
-    cached = _VR_CACHE.get(key)
-    if cached is not None:
-        return cached.copy()
     prof = dataset_profile(name)
-    scfg = prof.scene
-    if n_frames is not None or seed is not None:
-        from dataclasses import replace
-
-        scfg = replace(
-            scfg,
-            n_frames=n_frames if n_frames is not None else scfg.n_frames,
-            seed=seed if seed is not None else scfg.seed,
-        )
+    scene = prof.scene
+    scene = replace(
+        scene,
+        n_frames=scene.n_frames if n_frames is None else n_frames,
+        seed=scene.seed if seed is None else seed,
+    )
     vr = run_pipeline(
-        Scene(scfg),
+        Scene(scene),
         detector=Detector(prof.detector),
         tracker=Tracker(prof.tracker),
-        camera=camera or name.lower(),
+        camera=name.lower(),
     )
-    if p_o:
-        vr = reuse_ids(vr, p_o)
-    _VR_CACHE[key] = vr
+    return reuse_ids(vr, p_o) if p_o else vr
+
+
+_VR_CACHE: dict[tuple, pd.DataFrame] = {}
+
+
+def build_vr(
+    name: str, *, p_o: int = 0, n_frames: int | None = None, seed: int | None = None
+) -> pd.DataFrame:
+    """:func:`make_vr`, memoised per parameter set; returns a copy."""
+    key = (name, p_o, n_frames, seed)
+    vr = _VR_CACHE.get(key)
+    if vr is None:
+        vr = _VR_CACHE[key] = make_vr(name, p_o=p_o, n_frames=n_frames, seed=seed)
     return vr.copy()
 
 

@@ -25,6 +25,7 @@ from tests.core.util import (
     encode_stream,
     held_stream,
     letters_stream,
+    live_frames,
     most_objects_in,
     random_stream,
 )
@@ -52,7 +53,7 @@ def run_differential(stream, w, d, method):
             f"want: {{ {', '.join(f'{codec.decode(m)}:{fr}' for m, fr in sorted(want.items()))} }}"
         )
         if method == "mfs":
-            store = {m: st_.live_frames(lo) for m, st_ in gen.states.items()}
+            store = {m: live_frames(st_, lo) for m, st_ in gen.states.items()}
             assert store == brute.closed_states(window), f"MFS store differs at fid={fid}"
     return gen
 
@@ -135,6 +136,20 @@ def test_duration_zero_and_full_window(method):
     run_differential(stream, 6, 6, method)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_result_state_that_lost_frames_is_filtered(method):
+    """{A, B} reaches d=2 live frames at fid 1 and joins the Result State
+    Set.  Later frames hold only A, so it is never appended to again; by
+    fid 4 (w=4) only fid 1 is live.  It is still stored and still a
+    member, but no longer a result."""
+    stream = letters_stream(["AB", "AB", "A", "A", "A"])
+    ab = encode_stream(stream)[1][0][1]
+    assert ab in run_differential(stream[:2], 4, 2, method).result_sizes()
+    gen = run_differential(stream, 4, 2, method)
+    assert ab in gen.states and ab in gen._sr
+    assert ab not in gen.result_sizes() and ab not in gen.results()
+
+
 # ----------------------------------------------------------------------
 # NAIVE's result selection: buckets keyed by (live count, oldest, newest)
 # ----------------------------------------------------------------------
@@ -166,7 +181,7 @@ def test_naive_keeps_largest_of_a_chain(w):
     gen, window, enc = naive_after(["AX", "ABY", "ABC", "ABC", "ABC"], w, 1)
     abc = enc("ABC")
     lo = 5 - w
-    chain = {m: st_.live_frames(lo) for m, st_ in gen._sr.items() if m & abc == m}
+    chain = {m: live_frames(st_, lo) for m, st_ in gen._sr.items() if m & abc == m}
     assert len(chain) == 3 and len(set(map(tuple, chain.values()))) == 1
     assert gen.results() == brute.satisfied_states(window, 1) == {abc: list(range(lo, 5))}
 
@@ -228,7 +243,7 @@ def test_equal_frames_split(method, gap, empties, fires):
     assert st_.mark == fid
     if fires:
         assert st_ is before
-        assert st_.live_frames(fid - W + 1) == brute.closed_states(window)[abd]
+        assert live_frames(st_, fid - W + 1) == brute.closed_states(window)[abd]
     else:
         assert st_ is not before and st_.frames == [fid]
 
@@ -326,7 +341,7 @@ def check_marks(method, stream):
             for smask, st_ in gen.states.items()
             if method == "mfs" or st_.mark >= lo
         }
-        got = {smask: st_.live_frames(lo) for smask, st_ in kept.items()}
+        got = {smask: live_frames(st_, lo) for smask, st_ in kept.items()}
         assert got == brute.closed_states(window), f"method={method} fid={fid}"
         for smask, st_ in kept.items():
             fstar = brute.validity_threshold(window, smask)

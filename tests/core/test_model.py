@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.evaluate import METHODS, make_generator
-from repro.core.model import (
-    ObjSetCodec,
-    State,
-    Window,
-    iter_frames,
-    merge_sorted_unique,
-)
+from repro.core.evaluate import METHODS, make_generator, mcos_stream
+from repro.core.model import ObjSetCodec, State, merge_sorted_unique
+from tests.core.util import live_frames
 
 
 # ----------------------------------------------------------------------
@@ -30,7 +25,7 @@ def test_codec_bits_stable_across_calls():
     m1 = codec.encode_iter([7, 9])
     m2 = codec.encode_iter([9, 7])
     assert m1 == m2
-    assert codec.encode_one(7) | codec.encode_one(9) == m1
+    assert codec.encode_iter((7,)) | codec.encode_iter((9,)) == m1
     assert len(codec) == 2
 
 
@@ -49,7 +44,7 @@ def test_codec_intersection_semantics():
 def test_state_expiry_and_validity():
     s = State(0b1, [3, 5, 8, 9], 8)
     assert s.n_live_frames(6) == 2
-    assert s.live_frames(6) == [8, 9]
+    assert live_frames(s, 6) == [8, 9]
     assert s.frames == [3, 5, 8, 9]
 
 
@@ -69,23 +64,23 @@ def test_advance_appends_each_frame_once():
 
 
 # ----------------------------------------------------------------------
-# Window / frame iteration / merging
+# Window bounds / frame order / merging
 # ----------------------------------------------------------------------
 def test_window_bounds():
-    w = Window(4, 3)
-    assert w.lo(10) == 7  # [7..10] is 4 frames
-    with pytest.raises(ValueError):
-        Window(0, 0)
-    with pytest.raises(ValueError):
-        Window(4, 5)
-    with pytest.raises(ValueError):
-        Window(4, -1)
+    """Every method takes 0 <= d <= w with w positive and rejects the rest."""
+    for method in METHODS:
+        for w, d in ((1, 0), (1, 1), (4, 0), (4, 4)):
+            assert make_generator(method, w, d).results() == {}, method
+        for w, d in ((0, 0), (-1, 0), (4, 5), (4, -1)):
+            with pytest.raises(ValueError):
+                make_generator(method, w, d)
 
 
-def test_iter_frames_enforces_order():
-    assert list(iter_frames([(0, [1]), (2, [2])])) == [(0, [1]), (2, [2])]
-    with pytest.raises(ValueError, match="increasing"):
-        list(iter_frames([(3, []), (3, [])]))
+def test_mcos_stream_enforces_order():
+    assert [fid for fid, _ in mcos_stream([(0, [1]), (2, [2])], w=4, d=1)] == [0, 2]
+    for frames in ([(3, []), (3, [])], [(3, [1]), (2, [1])]):
+        with pytest.raises(ValueError, match="increasing"):
+            list(mcos_stream(frames, w=4, d=1))
 
 
 @given(

@@ -6,6 +6,11 @@ import random
 from repro.core.model import ObjSetCodec
 
 
+def live_frames(st, lo: int) -> list[int]:
+    """A stored state's frames from the window low bound ``lo`` on."""
+    return [f for f in st.frames if f >= lo]
+
+
 def letters_stream(frames: list[str]) -> list[tuple[int, list[int]]]:
     """Turn ['B', 'ABC', ...] into a (fid, [oid,...]) stream where each
     letter is an object id (ord value) — matches the paper's examples."""

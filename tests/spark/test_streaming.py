@@ -12,10 +12,16 @@ import time
 
 import pytest
 
+from repro.core.evaluate import QueryPipeline
 from repro.core.queries import geq_only_queries, random_cnf_queries
-from repro.spark.batch import evaluate_queries_batch
+from repro.spark.batch import evaluate_queries_batch, frames_by_fid, match_rows
 from repro.spark.relation import VR_SCHEMA, vr_to_spark
-from repro.spark.streaming import evaluate_queries_stream, with_empty_frame_markers
+from repro.spark.streaming import (
+    _make_update_fn,
+    evaluate_queries_stream,
+    with_empty_frame_markers,
+)
+from repro.videogen.datasets import build_vr
 from tests.spark.util import synthetic_vr
 
 N_FRAMES = 48
@@ -108,3 +114,45 @@ def test_empty_frame_markers_cover_all_frames():
         map(tuple, real[["camera", "fid"]].values)
     )
     assert not overlap
+
+
+class StubGroupState:
+    """In-process stand-in for Spark's ``GroupState``: hands the tuple
+    that ``update`` stored back on its next call."""
+
+    def __init__(self) -> None:
+        self.value = None
+
+    @property
+    def exists(self) -> bool:
+        return self.value is not None
+
+    @property
+    def get(self) -> tuple:
+        return self.value
+
+    def update(self, value: tuple) -> None:
+        self.value = value
+
+
+@pytest.mark.parametrize("name,d,method", [("M1", 60, "ssg"), ("V1", 240, "mfs")])
+def test_update_fn_over_micro_batches_equals_pipeline(name, d, method):
+    """4,000 frames at w=300 in 100-frame micro-batches with empty-frame
+    markers, fed to the streaming update function through a stub
+    ``GroupState`` (no Spark): the state is pickled between batches, and
+    one batch is replayed whole.  The rows equal an uninterrupted
+    pipeline's, in order.  M1 reaches no d=240 state, so it runs at d=60."""
+    n, w = 4000, 300
+    queries = random_cnf_queries(50, seed=0)
+    vr = with_empty_frame_markers(build_vr(name, n_frames=n), n)
+    batches = [vr[(vr.fid >= lo) & (vr.fid < lo + 100)] for lo in range(0, n, 100)]
+    batches.insert(21, batches[20])
+    update = _make_update_fn(queries, w, d, method, False)
+    state = StubGroupState()
+    got = [row for b in batches for out in update((name,), [b], state)
+           for row in out.itertuples(index=False, name=None)]
+    by_fid = frames_by_fid([vr])
+    pipe = QueryPipeline(queries, w=w, d=d, method=method)
+    want = match_rows(name, pipe, [(fid, by_fid[fid]) for fid in sorted(by_fid)])
+    assert got == list(want.itertuples(index=False, name=None))
+    assert got, "no match rows: weak test"

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 
 import pytest
 
 from repro import bench
 from repro.core.queries import geq_only_queries, random_cnf_queries
+from repro.videogen.datasets import make_vr
 
 
 @pytest.fixture(autouse=True)
@@ -164,7 +166,28 @@ def test_rows_scale_times_to_nominal_host_speed(monkeypatch):
         "stub", "stub.csv", ("x",), lambda: [{"x": 1}], lambda x: {"seconds": 1.0, "results": 7}
     )
     monkeypatch.setitem(bench.ARTIFACTS, "stub", art)
-    assert bench.rows("stub") == [{"x": 1, "seconds": 0.5, "results": 7, "probe_ns": slow}]
+    assert bench.rows("stub") == [
+        {"x": 1, "seconds": 0.5, "results": 7, "probe_ns": slow, "spread": 0.0}
+    ]
+
+
+def test_rows_carry_spread_of_repeats(monkeypatch):
+    """A timed row keeps its fastest run and carries (slowest - fastest)
+    / fastest of its runs' seconds.  The runs interleave over the grid:
+    point 1 takes 1.0, 1.5 and 1.25 s, point 2 takes 4.0, 2.0 and 2.5 s."""
+    monkeypatch.setattr(bench, "probe", lambda: bench.NOMINAL_PROBE_NS)
+    monkeypatch.setattr(bench, "REPEATS", 3)
+    times = iter([1.0, 4.0, 1.5, 2.0, 1.25, 2.5])
+    art = bench.Artifact(
+        "stub", "stub.csv", ("x",), lambda: [{"x": 1}, {"x": 2}],
+        lambda x: {"seconds": next(times), "results": 7},
+    )
+    monkeypatch.setitem(bench.ARTIFACTS, "stub", art)
+    nominal = bench.NOMINAL_PROBE_NS
+    assert bench.rows("stub") == [
+        {"x": 1, "seconds": 1.0, "results": 7, "probe_ns": nominal, "spread": 0.5},
+        {"x": 2, "seconds": 2.0, "results": 7, "probe_ns": nominal, "spread": 1.0},
+    ]
 
 
 def test_rows_without_times_carry_no_probe(monkeypatch):
@@ -220,7 +243,24 @@ def test_fig10_rows_share_one_tracking_time_per_dataset(monkeypatch):
     for r in rows:
         total = (r["track_seconds"] + r["eval_seconds"]) / bench.FIG10_QUERIES
         assert r["sec_per_query"] == pytest.approx(total)
-    assert list(rows[0]) == [*art.columns, "probe_ns"]
+    assert list(rows[0]) == [*art.columns, "probe_ns", "spread"]
+
+
+def test_substrate_seconds_times_uncached_builds(monkeypatch):
+    """The tracking time comes from ``REPEATS`` fresh builds even when
+    ``build_vr`` already holds the VR; the cache's key stays inside
+    ``datasets``."""
+    bench.build_vr("V2", n_frames=30)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return make_vr(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "make_vr", counted)
+    assert bench.substrate_seconds.__wrapped__("V2", 30) > 0
+    assert calls == [(("V2",), {"n_frames": 30})] * bench.REPEATS
+    assert "_VR_CACHE" not in inspect.getsource(bench)
 
 
 def test_format_rows_aligned():
