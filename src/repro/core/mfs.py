@@ -15,9 +15,9 @@ mark, or NAIVE's newest frame) in buckets popped in key order; a state
 whose key has moved up since is re-filed when its old bucket pops.
 The update step writes Result State Set (§4.3.7) membership: a stored
 state joins when an append or a creation brings it to ``d`` live
-frames, and leaves when it is dropped.  Only ``result_sizes`` filters
-it, keeping the members that still hold ``d`` live frames (the paper's
-revalidation); ``results`` lists their frames.  Enumeration costs
+frames, and leaves when it is dropped or when ``result_sizes``, the
+one filter (the paper's revalidation), finds it below ``d`` live
+frames; ``results`` lists the members' frames.  Enumeration costs
 one ``&`` and one group probe per state it meets: frames are trimmed
 lazily, only where the update step reads them (an append target, the
 merged frames of a new state, and the principal state), so other
@@ -272,10 +272,13 @@ class MFSGenerator:
     def result_sizes(self) -> dict[int, int]:
         """Satisfied valid states as ``{mask: live frame count}``: the
         states of the Result State Set that still hold ``d`` live frames,
-        all valid here.  NAIVE overrides it with its selection of the
-        valid states."""
-        lo, d = self._lo, self.d
-        return {mask: n for mask, st in self._sr.items() if (n := st.n_live_frames(lo)) >= d}
+        all valid here.  The others leave it until an append brings them
+        back.  NAIVE overrides it with its selection of the valid states."""
+        lo, d, sr = self._lo, self.d, self._sr
+        out = {mask: st.n_live_frames(lo) for mask, st in sr.items()}
+        for mask in [mask for mask, n in out.items() if n < d]:
+            del sr[mask], out[mask]
+        return out
 
     def results(self) -> dict[int, list[int]]:
         """The states of :meth:`result_sizes` as ``{mask: live frames}``."""

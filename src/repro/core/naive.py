@@ -8,7 +8,7 @@ are the ones MFS/SSG exist to avoid.
 
 The paper filters by grouping the Result State Set by frame set and
 keeping the largest object set of each group.  Here the states with
-fewer than ``d`` live frames are skipped first, and the group key is
+fewer than ``d`` live frames leave the set first, and the group key is
 ``(live count, oldest live fid, newest fid)``, not the frame list
 itself.  Frame sets are complete (every window frame holding the
 object set), so a state strictly containing another with an equal
@@ -29,8 +29,6 @@ engineering.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from repro.core.mfs import MFSGenerator
 from repro.core.model import State
 
@@ -50,27 +48,18 @@ class NaiveGenerator(MFSGenerator):
         return st.frames[-1]
 
     def result_sizes(self) -> dict[int, int]:
-        """The largest object set of each frame set in the Result State
-        Set, ``{mask: live frame count}``: the closed sets."""
+        """The largest object set of each frame set among the members of
+        the Result State Set that hold ``d`` live frames (MFS's filter),
+        ``{mask: live frame count}``: the closed sets."""
         sr = self._sr
-        if not sr:
-            return {}
-        lo, d = self._lo, self.d
         first: dict[tuple[int, int, int], int] = {}  # bucket key -> first mask
         setdefault = first.setdefault
         out: dict[int, int] = {}
         clashes: dict[tuple[int, int, int], list[int]] = {}
-        for mask, st in sr.items():
-            fr = st.frames
-            if fr[0] < lo:
-                i = bisect_left(fr, lo)
-                n = len(fr) - i
-                key = (n, fr[i], fr[-1])
-            else:
-                n = len(fr)
-                key = (n, fr[0], fr[-1])
-            if n < d:
-                continue
+        for mask, n in super().result_sizes().items():
+            fr = sr[mask].frames
+            # A stored state's live frames are its last ``n``.
+            key = (n, fr[-n], fr[-1])
             if setdefault(key, mask) is mask:
                 out[mask] = n
             else:

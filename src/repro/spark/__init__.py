@@ -9,6 +9,7 @@ runtime.  Three entry points:
 - :mod:`repro.spark.batch` — bounded evaluation with
   ``groupBy(camera).applyInPandas`` (one stateful pass per camera).
 - :mod:`repro.spark.streaming` — Structured Streaming with
-  ``applyInPandasWithState``; the GroupState carries the pickled
-  pipeline, matching the windowed-stateful-operator framing.
+  ``applyInPandasWithState``; the GroupState holds the camera's last
+  ``w`` frames of VR rows and its object classes as declared columns,
+  and each micro-batch rebuilds the pipeline from them.
 """

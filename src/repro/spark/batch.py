@@ -8,11 +8,10 @@ paper's MCOS generation + CNFEvalE pipeline over the frames in order.
 Scale-out is across cameras (and across query groups, which the
 driver can submit concurrently).
 
-Frames with no detections still advance the window; the per-camera
-video length is threaded through ``n_frames`` so gaps in the fid
-sequence are fed to the generator as empty frames.  Rows with
-``oid = -1`` are treated as explicit empty-frame markers (used by the
-streaming path, which cannot know the video length up front).
+Frames run from fid 0 to a camera's largest fid; a fid without rows
+is fed to the generator as an empty frame.  Rows with ``oid = -1`` are
+explicit empty-frame markers (the streaming protocol's), so a camera
+whose video ends in empty frames marks its last fid.
 """
 from __future__ import annotations
 
@@ -61,20 +60,17 @@ def match_rows(
     return pd.DataFrame(rows, columns=["camera", "fid", "qid", "objset", "n_frames"])
 
 
-def _frames_of_group(pdf: pd.DataFrame, n_frames: int | None) -> Iterable[tuple[int, list[tuple[int, str]]]]:
-    """Yield ``(fid, [(oid, cls), ...])`` for every frame, in order,
-    including empty frames up to ``n_frames`` (or max fid seen).
+def _frames_of_group(pdf: pd.DataFrame) -> Iterable[tuple[int, list[tuple[int, str]]]]:
+    """Yield ``(fid, [(oid, cls), ...])`` for every fid from 0 to the
+    largest, in order, a fid without rows as an empty frame.
 
-    A row whose fid lies outside ``[0, n_frames)`` raises ``ValueError``
-    rather than being dropped: the streaming path would process it."""
+    A negative fid raises ``ValueError`` rather than being dropped: the
+    streaming path would process it."""
     by_fid = frames_by_fid([pdf])
-    end = n_frames if n_frames is not None else max(by_fid, default=-1) + 1
-    bad = sorted(fid for fid in by_fid if not 0 <= fid < end)
-    if bad:
-        raise ValueError(
-            f"camera {pdf['camera'].iloc[0]!r}: fid {bad[0]} outside [0, {end})"
-        )
-    for fid in range(end):
+    first = min(by_fid)
+    if first < 0:
+        raise ValueError(f"camera {pdf['camera'].iloc[0]!r}: fid {first} is negative")
+    for fid in range(max(by_fid) + 1):
         yield fid, by_fid.get(fid, [])
 
 
@@ -86,7 +82,6 @@ def evaluate_queries_batch(
     d: int,
     method: str = "ssg",
     prune: bool = False,
-    n_frames: int | None = None,
 ) -> DataFrame:
     """Match rows ``(camera, fid, qid, objset, n_frames)`` per §5.2.
 
@@ -95,7 +90,7 @@ def evaluate_queries_batch(
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         pipe = QueryPipeline(queries, w=w, d=d, method=method, prune=prune)
-        return match_rows(str(pdf["camera"].iloc[0]), pipe, _frames_of_group(pdf, n_frames))
+        return match_rows(str(pdf["camera"].iloc[0]), pipe, _frames_of_group(pdf))
 
     return vr_df.groupBy("camera").applyInPandas(run, RESULT_SCHEMA)
 

@@ -4,25 +4,27 @@ Models the paper's online setting: the object-tracking layer appends
 ``(camera, fid, oid, cls)`` rows as frames are processed; queries run
 continuously over a sliding window of ``w`` frames per camera.  The
 stream is keyed by camera and evaluated with
-``applyInPandasWithState`` — the ``GroupState`` carries the pickled
-:class:`~repro.core.evaluate.QueryPipeline` (generator state machine,
-codec, CNFEvalE index), so MFS/SSG pruning state survives across
-micro-batches exactly as the paper's incremental maintenance requires.
+``applyInPandasWithState``.  The ``GroupState`` holds the columns of
+``STATE_SCHEMA``: the camera's VR rows of fids ``[last - w + 1, last]``,
+and the ``(oid, cls)`` pair of every object of a queried class it has
+shown, so a class conflict is caught against the whole stream.  Each
+micro-batch feeds the stored frames to a fresh pipeline, dropping their
+rows, then the new frames, and stores the last ``w`` fids: a frame's
+results depend only on its window (DESIGN.md §5).
 
 Protocol requirements (asserted by the tests):
 
-- every frame of a camera appears in the stream — a frame with no
-  detections is represented by a single marker row with
-  ``oid = -1`` (:data:`repro.spark.batch.EMPTY_FRAME_OID`) so the
-  window can advance;
-- fids arrive in non-decreasing order across micro-batches for a
-  given camera.  ``update`` drops every frame whose fid is at or below
-  the last one it processed, without a trace: a replayed frame is
-  skipped, and so is a late frame with new content.
+- every frame of a camera appears in the stream, all its rows in one
+  micro-batch; a frame with no detections is one marker row with
+  ``oid = -1`` (:data:`repro.spark.batch.EMPTY_FRAME_OID`).  A fid left
+  out is a gap: it gets no rows, and it cannot be sent later;
+- fids arrive in increasing order across micro-batches for a given
+  camera.  A fid at or below the last one processed is a replay, and
+  skipped, if its rows equal those stored for it as a multiset;
+  otherwise ``update`` raises ``ValueError``.
 """
 from __future__ import annotations
 
-import pickle
 from typing import Iterable, Iterator
 
 import pandas as pd
@@ -33,7 +35,10 @@ from repro.core.evaluate import QueryPipeline
 from repro.core.queries import Query
 from repro.spark.batch import EMPTY_FRAME_OID, RESULT_SCHEMA, frames_by_fid, match_rows
 
-STATE_SCHEMA = "blob binary"
+STATE_SCHEMA = (
+    "fid array<long>, oid array<long>, cls array<string>, "
+    "label_oid array<long>, label_cls array<string>"
+)
 
 
 def _make_update_fn(queries: list[Query], w: int, d: int, method: str, prune: bool):
@@ -43,16 +48,32 @@ def _make_update_fn(queries: list[Query], w: int, d: int, method: str, prune: bo
         state: GroupState,
     ) -> Iterator[pd.DataFrame]:
         camera = str(key[0])
-        if state.exists:
-            pipe: QueryPipeline = pickle.loads(bytes(state.get[0]))
-        else:
-            pipe = QueryPipeline(queries, w=w, d=d, method=method, prune=prune)
+        fids, oids, clss, label_oids, label_clss = state.get if state.exists else ([],) * 5
+        window = frames_by_fid([pd.DataFrame({"fid": fids, "oid": oids, "cls": clss})])
+        last = max(window, default=None)
         by_fid = frames_by_fid(pdfs)
-        last = pipe._last_fid
-        # A replayed frame (fid <= last) is already folded into the state.
-        frames = [(fid, by_fid[fid]) for fid in sorted(by_fid) if last is None or fid > last]
+        frames = []
+        for fid in sorted(by_fid):
+            if last is None or fid > last:
+                frames.append((fid, by_fid[fid]))
+            elif fid not in window or sorted(by_fid[fid]) != sorted(window[fid]):
+                raise ValueError(
+                    f"camera {camera!r}: fid {fid} arrived after fid {last} and is not "
+                    f"a replay of a stored frame in [{last - w + 1}, {last}]"
+                )
+        pipe = QueryPipeline(queries, w=w, d=d, method=method, prune=prune)
+        pipe.label_of.update(zip(label_oids, label_clss))
+        for fid, objs in window.items():
+            pipe.feed(fid, objs)
         out = match_rows(camera, pipe, frames)
-        state.update((pickle.dumps(pipe),))
+        window.update(frames)
+        lo = max(window) - w + 1
+        rows = [
+            (fid, oid, cls)
+            for fid, objs in window.items() if fid >= lo
+            for oid, cls in objs or [(EMPTY_FRAME_OID, "none")]
+        ]
+        state.update((*map(list, zip(*rows)), list(pipe.label_of), list(pipe.label_of.values())))
         yield out
 
     return update
@@ -87,21 +108,9 @@ def with_empty_frame_markers(vr: pd.DataFrame, n_frames: int) -> pd.DataFrame:
     camera — the producer-side half of the streaming protocol."""
     out = [vr]
     for camera, grp in vr.groupby("camera"):
-        present = set(grp["fid"])
-        missing = [f for f in range(n_frames) if f not in present]
+        missing = sorted(set(range(n_frames)) - set(grp["fid"]))
         if missing:
-            out.append(
-                pd.DataFrame(
-                    {
-                        "camera": camera,
-                        "fid": missing,
-                        "oid": EMPTY_FRAME_OID,
-                        "cls": "none",
-                    }
-                )
-            )
-    return (
-        pd.concat(out, ignore_index=True)
-        .sort_values(["camera", "fid", "oid"])
-        .reset_index(drop=True)
-    )
+            markers = {"camera": camera, "fid": missing, "oid": EMPTY_FRAME_OID, "cls": "none"}
+            out.append(pd.DataFrame(markers))
+    marked = pd.concat(out, ignore_index=True)
+    return marked.sort_values(["camera", "fid", "oid"]).reset_index(drop=True)

@@ -46,6 +46,7 @@ def run_differential(stream, w, d, method):
         gen.check_invariants()
         got = gen.results()
         assert gen.result_sizes() == {m: len(fr) for m, fr in got.items()}, f"fid={fid}"
+        assert all(st_.n_live_frames(lo) >= d for st_ in gen._sr.values()), f"fid={fid}"
         want = brute.satisfied_states(window, d)
         assert got == want, (
             f"method={method} fid={fid} w={w} d={d}\n"
@@ -140,14 +141,43 @@ def test_duration_zero_and_full_window(method):
 def test_result_state_that_lost_frames_is_filtered(method):
     """{A, B} reaches d=2 live frames at fid 1 and joins the Result State
     Set.  Later frames hold only A, so it is never appended to again; by
-    fid 4 (w=4) only fid 1 is live.  It is still stored and still a
-    member, but no longer a result."""
+    fid 4 (w=4) only fid 1 is live.  It is still stored, but no longer
+    a result, and ``result_sizes`` has taken it out of the set."""
     stream = letters_stream(["AB", "AB", "A", "A", "A"])
     ab = encode_stream(stream)[1][0][1]
     assert ab in run_differential(stream[:2], 4, 2, method).result_sizes()
     gen = run_differential(stream, 4, 2, method)
-    assert ab in gen.states and ab in gen._sr
+    assert ab in gen.states and ab not in gen._sr
     assert ab not in gen.result_sizes() and ab not in gen.results()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name,d", [("V1", 20), ("M1", 5)])
+def test_result_state_set_holds_only_results(method, name, d):
+    """200 frames of a profile at w=30: after every frame's
+    ``result_sizes`` no member of the Result State Set holds fewer than
+    ``d`` live frames, and for MFS/SSG the set is exactly the results
+    (NAIVE's also holds the non-closed states it filters).  Members do
+    leave the set, and results equal the oracle's throughout."""
+    w = 30
+    stream = list(object_stream(name, 0, 300)[100:])
+    _, enc = encode_stream(stream)
+    gen = make_generator(method, w, d)
+    window: list[tuple[int, int]] = []
+    left = 0
+    for fid, mask in enc:
+        lo = fid - w + 1
+        window = [(f, m) for f, m in window if f >= lo] + [(fid, mask)]
+        gen.advance(fid, mask)
+        gen.check_invariants()
+        before = len(gen._sr)
+        sizes = gen.result_sizes()
+        left += before - len(gen._sr)
+        assert all(st_.n_live_frames(lo) >= d for st_ in gen._sr.values()), f"fid={fid}"
+        if method != "naive":
+            assert len(gen._sr) == len(sizes), f"fid={fid}"
+        assert gen.results() == brute.satisfied_states(window, d), f"fid={fid}"
+    assert left, "no member left the Result State Set: weak test"
 
 
 # ----------------------------------------------------------------------

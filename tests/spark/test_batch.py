@@ -8,6 +8,7 @@ from repro.core.evaluate import evaluate_stream, mcos_stream
 from repro.core.queries import Condition, Query, geq_only_queries, random_cnf_queries
 from repro.spark.batch import EMPTY_FRAME_OID, _frames_of_group, evaluate_queries_batch, frames_by_fid
 from repro.spark.relation import vr_to_spark
+from repro.spark.streaming import with_empty_frame_markers
 from tests.oracle import assert_equivalent
 from tests.spark.util import synthetic_vr
 
@@ -17,6 +18,12 @@ N_FRAMES = 60
 @pytest.fixture(scope="module")
 def vr_pdf():
     return synthetic_vr(n_frames=N_FRAMES, seed=7)
+
+
+def marked(spark, vr_pdf, n_frames=N_FRAMES):
+    """``vr_pdf`` with empty-frame markers up to ``n_frames``, in Spark:
+    the batch path runs each camera to its largest fid."""
+    return vr_to_spark(spark, with_empty_frame_markers(vr_pdf, n_frames))
 
 
 def _reference_rows(vr_pdf, queries, w, d, method="naive", prune=False):
@@ -39,8 +46,7 @@ def _reference_rows(vr_pdf, queries, w, d, method="naive", prune=False):
 def test_batch_matches_pure_python(spark, vr_pdf, method):
     queries = random_cnf_queries(12, seed=1, labels=("person", "car", "truck"))
     got = evaluate_queries_batch(
-        vr_to_spark(spark, vr_pdf), queries, w=10, d=5, method=method,
-        n_frames=N_FRAMES,
+        marked(spark, vr_pdf), queries, w=10, d=5, method=method
     )
     got_rows = sorted(tuple(r) for r in got.collect())
     assert got_rows == _reference_rows(vr_pdf, queries, 10, 5, method)
@@ -53,8 +59,7 @@ def test_batch_methods_agree(spark, vr_pdf):
         sorted(
             tuple(r)
             for r in evaluate_queries_batch(
-                vr_to_spark(spark, vr_pdf), queries, w=12, d=6, method=m,
-                n_frames=N_FRAMES,
+                marked(spark, vr_pdf), queries, w=12, d=6, method=m
             ).collect()
         )
         for m in ("naive", "mfs", "ssg")
@@ -67,15 +72,15 @@ def test_batch_pruned_matches_unpruned(spark, vr_pdf):
     a = sorted(
         tuple(r)
         for r in evaluate_queries_batch(
-            vr_to_spark(spark, vr_pdf), queries, w=10, d=4, method="ssg",
-            prune=False, n_frames=N_FRAMES,
+            marked(spark, vr_pdf), queries, w=10, d=4, method="ssg",
+            prune=False,
         ).collect()
     )
     b = sorted(
         tuple(r)
         for r in evaluate_queries_batch(
-            vr_to_spark(spark, vr_pdf), queries, w=10, d=4, method="ssg",
-            prune=True, n_frames=N_FRAMES,
+            marked(spark, vr_pdf), queries, w=10, d=4, method="ssg",
+            prune=True,
         ).collect()
     )
     assert a == b
@@ -111,19 +116,22 @@ def test_mcos_stream_d_equals_w_sql_oracle(method):
 
 
 def test_frames_of_group_rejects_fid_out_of_range():
-    """A row outside ``[0, n_frames)`` fails the camera's batch, as the
-    streaming path would feed it rather than drop it."""
+    """Frames run from 0 to the largest fid, a marker row included; a
+    negative fid fails the camera's batch, as the streaming path would
+    feed it rather than drop it."""
     def vr(*fids):
         return pd.DataFrame(
             [("cam0", fid, 1, "car") for fid in fids],
             columns=["camera", "fid", "oid", "cls"],
         )
 
-    assert [f for f, _ in _frames_of_group(vr(0, 2), 3)] == [0, 1, 2]
-    with pytest.raises(ValueError, match=r"'cam0'.*fid 5\b"):
-        list(_frames_of_group(vr(0, 2, 5), 3))
+    assert [f for f, _ in _frames_of_group(vr(0, 2))] == [0, 1, 2]
+    end = pd.DataFrame([("cam0", 4, EMPTY_FRAME_OID, "none")], columns=["camera", "fid", "oid", "cls"])
+    assert list(_frames_of_group(pd.concat([vr(0, 2), end]))) == [
+        (0, [(1, "car")]), (1, []), (2, [(1, "car")]), (3, []), (4, [])
+    ]
     with pytest.raises(ValueError, match=r"'cam0'.*fid -1\b"):
-        list(_frames_of_group(vr(0, 2, -1), None))
+        list(_frames_of_group(vr(0, 2, -1)))
 
 
 def test_frames_by_fid_groups_rows_and_markers():
@@ -141,12 +149,12 @@ def test_frames_by_fid_groups_rows_and_markers():
 def test_batch_multi_camera_isolation(spark):
     """Cameras must not share object or window state: evaluating two
     cameras together equals evaluating each alone."""
-    vr_pdf = synthetic_vr(cameras=("a", "b"), n_frames=40, seed=5)
+    vr_pdf = with_empty_frame_markers(synthetic_vr(cameras=("a", "b"), n_frames=40, seed=5), 40)
     queries = [Query(0, ((Condition("car", ">=", 1),),))]
     both = sorted(
         tuple(r)
         for r in evaluate_queries_batch(
-            vr_to_spark(spark, vr_pdf), queries, w=8, d=3, n_frames=40
+            vr_to_spark(spark, vr_pdf), queries, w=8, d=3
         ).collect()
     )
     solo = []
@@ -155,7 +163,7 @@ def test_batch_multi_camera_isolation(spark):
             tuple(r)
             for r in evaluate_queries_batch(
                 vr_to_spark(spark, vr_pdf[vr_pdf.camera == cam]),
-                queries, w=8, d=3, n_frames=40,
+                queries, w=8, d=3,
             ).collect()
         )
     assert both == sorted(solo)
