@@ -11,8 +11,9 @@ The pipeline drives one generator (NAIVE / MFS / SSG) over a
    depend on the counts alone: the pipeline keeps one bitmask per
    query label, a vector is ``popcount(mask & class_mask)`` per label,
    and ``evaluate`` is memoised on it (the query set never changes);
-3. a frame set is emitted for every ``(state, query)`` pair evaluated
-   TRUE; each object set is decoded once, when it first matches.
+3. a row is emitted for every ``(state, query)`` pair evaluated TRUE;
+   each object set is decoded once, when it first matches, and a
+   state's rows are built again only when its live frame count changes.
 
 After each frame the codec releases the bits of objects that have left
 the window (:func:`advance_frame`); the pipeline clears them from its
@@ -29,7 +30,7 @@ is rejected, mirroring the paper's eligibility test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from repro.core.cnf import CNFEvalE
 from repro.core.mfs import MFSGenerator
@@ -43,9 +44,9 @@ METHODS = tuple(GENERATORS)
 
 
 class MatchRow(NamedTuple):
-    """One query hit: state's MCOS satisfied query ``qid`` at ``fid``."""
+    """One query hit: a result state's MCOS satisfied query ``qid`` at
+    the frame whose ``feed`` returned the row."""
 
-    fid: int
     qid: int
     objset: tuple[int, ...]
     n_frames: int
@@ -69,9 +70,8 @@ def make_generator(method: str, w: int, d: int, admit=None):
 class QueryPipeline:
     """Streaming evaluator: feed frames, collect match rows.
 
-    Incremental (``feed`` one frame at a time) so it can back the
-    Spark stateful operators; :func:`evaluate_stream` wraps it for
-    batch use.
+    Incremental (``feed`` one frame at a time), so the same object
+    backs the Spark batch and stateful operators.
     """
 
     def __init__(
@@ -96,9 +96,10 @@ class QueryPipeline:
         # cleared when the codec releases it.
         self._class_index = {label: i for i, label in enumerate(self.labels)}
         self._class_masks = [0] * len(self.labels)
-        # count vector -> qids; mask -> (qids, objset); mask -> admitted
+        # count vector -> qids; mask -> (n, rows, qids, objset), the rows
+        # of a result state at live count n; mask -> admitted
         self._counts_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._match_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._match_cache: dict[int, tuple] = {}
         self._admit_cache: dict[int, bool] = {}
         self.stats = PipelineStats()
         admit = self._admit if prune else None
@@ -117,14 +118,19 @@ class QueryPipeline:
             qids = self._counts_cache[counts] = tuple(sorted(hit))
         return qids
 
-    def _match(self, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(qids, objset)`` of a result state, decoded only if it matches."""
-        hit = self._match_cache.get(mask)
+    def _rows(self, mask: int, n: int, hit: tuple | None) -> tuple:
+        """A result state's cache entry ``(n, rows, qids, objset)`` at live
+        count ``n``; ``qids`` and ``objset`` come from ``hit``, its entry
+        at another count, if there is one, and the object set is decoded
+        only if it matches.  ``tuple.__new__`` builds each row without
+        the namedtuple's Python-level ``__new__``."""
         if hit is None:
             qids = self._qids(mask)
             objset = self.codec.decode(mask) if qids else ()
-            hit = self._match_cache[mask] = (qids, objset)
-        return hit
+        else:
+            qids, objset = hit[2:]
+        new_row = tuple.__new__
+        return n, tuple(new_row(MatchRow, (qid, objset, n)) for qid in qids), qids, objset
 
     def _admit(self, mask: int) -> bool:
         """Termination test (§5.3): admit iff some query passes."""
@@ -137,8 +143,8 @@ class QueryPipeline:
 
     def _forget(self, freed: int) -> None:
         """Drop what the released bits meant: their class-mask bits, and
-        the cached answers for masks holding them (a bit may next name
-        another object)."""
+        the cached answers and rows for masks holding them (a bit may
+        next name another object)."""
         self._class_masks = [cm & ~freed for cm in self._class_masks]
         self._match_cache = {m: v for m, v in self._match_cache.items() if not m & freed}
         self._admit_cache = {m: v for m, v in self._admit_cache.items() if not m & freed}
@@ -183,13 +189,12 @@ class QueryPipeline:
         rows: list[MatchRow] = []
         sizes = self.gen.result_sizes()
         self.stats.result_states += len(sizes)
-        # ``tuple.__new__`` builds each row without the namedtuple's
-        # Python-level ``__new__``.
-        new_row = tuple.__new__
+        cache = self._match_cache
         for smask, n in sizes.items():
-            qids, objset = self._match(smask)
-            if qids:
-                rows += [new_row(MatchRow, (fid, qid, objset, n)) for qid in qids]
+            hit = cache.get(smask)
+            if hit is None or hit[0] != n:
+                hit = cache[smask] = self._rows(smask, n, hit)
+            rows += hit[1]
         self.stats.matches += len(rows)
         return rows
 
@@ -201,41 +206,3 @@ def advance_frame(gen, codec: ObjSetCodec, fid: int, oids: Iterable[int]) -> int
     on (see :meth:`ObjSetCodec.release`)."""
     gen.advance(fid, codec.encode_iter(oids))
     return codec.release(fid, fid - gen.w + 1)
-
-
-def evaluate_stream(
-    frames: Iterable[tuple[int, Iterable[tuple[int, str]]]],
-    queries: list[Query],
-    *,
-    w: int,
-    d: int,
-    method: str = "ssg",
-    prune: bool = False,
-) -> list[MatchRow]:
-    """Batch wrapper: run the whole stream, return all match rows."""
-    pipe = QueryPipeline(queries, w=w, d=d, method=method, prune=prune)
-    out: list[MatchRow] = []
-    for fid, objects in frames:
-        out.extend(pipe.feed(fid, objects))
-    return out
-
-
-def mcos_stream(
-    frames: Iterable[tuple[int, Iterable[int]]],
-    *,
-    w: int,
-    d: int,
-    method: str = "ssg",
-) -> Iterator[tuple[int, dict[tuple[int, ...], list[int]]]]:
-    """Query-less MCOS generation (Section 6.2 experiments): yields the
-    satisfied Result State Set per frame, decoded to oid tuples."""
-    codec = ObjSetCodec()
-    gen = make_generator(method, w, d)
-    last = None
-    for fid, oids in frames:
-        fid = int(fid)
-        if last is not None and fid <= last:
-            raise ValueError(f"frames must arrive in strictly increasing fid order: {fid} after {last}")
-        last = fid
-        advance_frame(gen, codec, fid, oids)
-        yield fid, {codec.decode(m): fr for m, fr in gen.results().items()}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
@@ -26,6 +27,7 @@ from repro.core.queries import Query
 RESULT_SCHEMA = (
     "camera string, fid long, qid long, objset string, n_frames long"
 )
+RESULT_COLUMNS = [field.split()[0] for field in RESULT_SCHEMA.split(", ")]
 
 EMPTY_FRAME_OID = -1
 
@@ -46,18 +48,31 @@ def frames_by_fid(pdfs: Iterable[pd.DataFrame]) -> dict[int, list[tuple[int, str
 def match_rows(
     camera: str, pipe: QueryPipeline, frames: Iterable[tuple[int, list[tuple[int, str]]]]
 ) -> pd.DataFrame:
-    """Feed ``frames`` to ``pipe`` in order; its match rows as a frame
-    of ``RESULT_SCHEMA``.  ``objset`` is the MCOS as a comma-joined oid
-    string, joined once per distinct object set."""
-    joined: dict[tuple[int, ...], str] = {}
+    """Feed ``frames`` to ``pipe`` in order; its match rows, in the order
+    ``feed`` returns them, as a frame of ``RESULT_SCHEMA``.  The frame is
+    built from columns: each ``fid`` repeated by its frame's row count,
+    and ``objset`` as the MCOS's comma-joined oid string, joined once per
+    distinct object set."""
     rows = []
+    fids = []
+    counts = []
     for fid, objs in frames:
-        for m in pipe.feed(fid, objs):
-            objset = joined.get(m.objset)
-            if objset is None:
-                objset = joined[m.objset] = ",".join(map(str, m.objset))
-            rows.append((camera, m.fid, m.qid, objset, m.n_frames))
-    return pd.DataFrame(rows, columns=["camera", "fid", "qid", "objset", "n_frames"])
+        got = pipe.feed(fid, objs)
+        rows += got
+        fids.append(fid)
+        counts.append(len(got))
+    if not rows:
+        return pd.DataFrame(columns=RESULT_COLUMNS)
+    objsets = [r.objset for r in rows]
+    joined = {objset: ",".join(map(str, objset)) for objset in set(objsets)}
+    columns = (
+        camera,
+        np.repeat(np.array(fids, dtype=np.int64), counts),
+        np.array([r.qid for r in rows], dtype=np.int64),
+        np.array([joined[objset] for objset in objsets], dtype=object),
+        np.array([r.n_frames for r in rows], dtype=np.int64),
+    )
+    return pd.DataFrame(dict(zip(RESULT_COLUMNS, columns)))
 
 
 def _frames_of_group(pdf: pd.DataFrame) -> Iterable[tuple[int, list[tuple[int, str]]]]:

@@ -21,7 +21,8 @@ Protocol requirements (asserted by the tests):
 - fids arrive in increasing order across micro-batches for a given
   camera.  A fid at or below the last one processed is a replay, and
   skipped, if its rows equal those stored for it as a multiset;
-  otherwise ``update`` raises ``ValueError``.
+  otherwise ``update`` raises ``ValueError``.  A micro-batch of replays
+  alone emits no rows and leaves the state untouched.
 """
 from __future__ import annotations
 
@@ -33,7 +34,13 @@ from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from repro.core.evaluate import QueryPipeline
 from repro.core.queries import Query
-from repro.spark.batch import EMPTY_FRAME_OID, RESULT_SCHEMA, frames_by_fid, match_rows
+from repro.spark.batch import (
+    EMPTY_FRAME_OID,
+    RESULT_COLUMNS,
+    RESULT_SCHEMA,
+    frames_by_fid,
+    match_rows,
+)
 
 STATE_SCHEMA = (
     "fid array<long>, oid array<long>, cls array<string>, "
@@ -61,6 +68,10 @@ def _make_update_fn(queries: list[Query], w: int, d: int, method: str, prune: bo
                     f"camera {camera!r}: fid {fid} arrived after fid {last} and is not "
                     f"a replay of a stored frame in [{last - w + 1}, {last}]"
                 )
+        if not frames:
+            # Only replays: no rows, and the state stays as it is.
+            yield pd.DataFrame(columns=RESULT_COLUMNS)
+            return
         pipe = QueryPipeline(queries, w=w, d=d, method=method, prune=prune)
         pipe.label_of.update(zip(label_oids, label_clss))
         for fid, objs in window.items():

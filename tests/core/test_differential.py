@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.bench import object_stream
 from repro.core import brute
-from repro.core.evaluate import MatchRow, QueryPipeline, make_generator, mcos_stream
+from repro.core.evaluate import MatchRow, QueryPipeline, make_generator
 from repro.core.model import ObjSetCodec
 from repro.core.queries import Condition, Query
 from tests.core.util import (
@@ -26,6 +26,7 @@ from tests.core.util import (
     held_stream,
     letters_stream,
     live_frames,
+    mcos_stream,
     most_objects_in,
     random_stream,
 )
@@ -444,7 +445,7 @@ def run_recycling(stream, w, d):
                 f"pipeline {method} prune={prune} fid={fid}"
             )
             assert sorted(rows) == sorted(
-                MatchRow(fid, q, x, len(fr)) for x, fr in got.items() for q in qids(x)
+                MatchRow(q, x, len(fr)) for x, fr in got.items() for q in qids(x)
             ), f"pipeline {method} prune={prune} fid={fid}"
             assert len(pipe.codec) <= bound, f"{method} fid={fid}: width {len(pipe.codec)}"
     n_objects = len({o for _, oids in stream for o in oids})
@@ -502,7 +503,7 @@ def test_repeated_frame_with_terminated_group(method):
         want = {x: fr for x, fr in want.items() if pairs_qids(x)}
         assert {pipe.codec.decode(m): fr for m, fr in pipe.gen.results().items()} == want
         assert sorted(rows) == sorted(
-            MatchRow(fid, q, x, len(fr)) for x, fr in want.items() for q in pairs_qids(x)
+            MatchRow(q, x, len(fr)) for x, fr in want.items() for q in pairs_qids(x)
         ), f"fid={fid}"
     assert (1, 2, 4) not in {pipe.codec.decode(m) for m in pipe.gen.states}
     assert before[0] == 1, "the group was not terminated: weak test"
@@ -632,7 +633,7 @@ def test_derived_frame_with_terminated_cut_group(method):
         want = {x: fr for x, fr in want.items() if pairs_qids(x)}
         assert {pipe.codec.decode(m): fr for m, fr in pipe.gen.results().items()} == want
         assert sorted(rows) == sorted(
-            MatchRow(fid, q, x, len(fr)) for x, fr in want.items() for q in pairs_qids(x)
+            MatchRow(q, x, len(fr)) for x, fr in want.items() for q in pairs_qids(x)
         ), f"fid={fid}"
     assert pipe.gen.stats["derived"] == before[1] + 1 and pipe.gen.stats["visits"] == before[2]
     assert pipe.stats.terminated == before[0] + 1

@@ -5,18 +5,14 @@ import random
 
 import pytest
 
-from repro.core.evaluate import (
-    MatchRow,
-    QueryPipeline,
-    evaluate_stream,
-    make_generator,
-)
+from repro.core.evaluate import MatchRow, QueryPipeline, make_generator
 from repro.core.queries import (
     Condition,
     Query,
     geq_only_queries,
     random_cnf_queries,
 )
+from tests.core.util import evaluate_stream
 
 
 def labeled_stream(n_frames, *, n_objects=10, seed=0, labels=("person", "car", "truck")):
@@ -95,7 +91,7 @@ def test_irrelevant_classes_dropped():
     pipe.feed(1, [(1, "car"), (2, "bicycle")])
     assert len(pipe.codec) == 1  # only the car was encoded
     rows = pipe.feed(2, [(1, "car")])
-    assert rows == [MatchRow(2, 0, (1,), 3)]
+    assert rows == [MatchRow(0, (1,), 3)]
 
 
 def test_min_duration_gates_matches():
@@ -104,7 +100,7 @@ def test_min_duration_gates_matches():
     assert pipe.feed(0, [(1, "car"), (2, "car")]) == []
     assert pipe.feed(1, [(1, "car"), (2, "car")]) == []
     rows = pipe.feed(2, [(1, "car"), (2, "car")])
-    assert rows == [MatchRow(2, 0, (1, 2), 3)]
+    assert rows == [MatchRow(0, (1, 2), 3)]
 
 
 def test_conflicting_class_rejected():
@@ -124,15 +120,15 @@ def test_recycled_bit_takes_the_new_objects_class(method):
     cars = Query(0, ((Condition("car", ">=", 1),),))
     people = Query(1, ((Condition("person", ">=", 1),),))
     pipe = QueryPipeline([cars, people], w=3, d=1, method=method)
-    assert pipe.feed(0, [(1, "car")]) == [MatchRow(0, 0, (1,), 1)]
+    assert pipe.feed(0, [(1, "car")]) == [MatchRow(0, (1,), 1)]
     (car_bit,) = pipe.gen.results()
     for fid in (1, 2, 3):  # frame 0 leaves the window at 3
         pipe.feed(fid, [])
     assert 1 not in pipe.codec and len(pipe.codec) == 1
-    assert pipe.feed(4, [(2, "person")]) == [MatchRow(4, 1, (2,), 1)]
+    assert pipe.feed(4, [(2, "person")]) == [MatchRow(1, (2,), 1)]
     assert list(pipe.gen.results()) == [car_bit]
     rows = pipe.feed(5, [(1, "car")])
-    assert sorted(rows) == [MatchRow(5, 0, (1,), 1), MatchRow(5, 1, (2,), 1)]
+    assert sorted(rows) == [MatchRow(0, (1,), 1), MatchRow(1, (2,), 1)]
     assert car_bit in pipe.gen.results() and len(pipe.codec) == 2
     with pytest.raises(ValueError, match="classes"):
         pipe.feed(6, [(2, "car")])
@@ -254,7 +250,7 @@ def test_match_rows_complete(method, labels, seed):
             for oid in objset:
                 counts[label_of[oid]] += 1
             vectors.add(tuple(sorted(counts.items())))
-            want |= {(fid, q.qid, objset, len(frames)) for q in queries if q.holds(counts)}
+            want |= {(q.qid, objset, len(frames)) for q in queries if q.holds(counts)}
         assert len(rows) == len(set(rows))
         assert set(rows) == want, fid
         n_rows += len(rows)
@@ -286,3 +282,57 @@ def test_pruned_evaluations_once_per_count_vector(method):
     assert pipe.stats.terminated > 0
     assert len(calls) == len(set(calls)) == pipe.stats.evaluations
     assert pipe.stats.evaluations < len(offered)
+
+
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+def test_row_cache_follows_the_live_count(method):
+    """Car 1 is in frames 0-3, 6-7, 10-11, ... and person 2 in every
+    frame, so the live count of {1, 2} at w=4 rises from 1 to 4, falls
+    to 2, then stays at 2.  Every frame emits the rows of the decoded
+    results at their live counts, and while a count holds the frame
+    reuses the previous frame's row objects."""
+    queries = [Query(0, ((Condition("car", ">=", 1),),)), Query(1, ((Condition("person", ">=", 1),),))]
+    pipe = QueryPipeline(queries, w=4, d=1, method=method)
+    counts = []
+    prev = {}
+    for fid in range(16):
+        car = fid < 4 or fid % 4 in (2, 3)
+        rows = pipe.feed(fid, [(2, "person")] + [(1, "car")] * car)
+        want = {
+            MatchRow(q.qid, objset, len(frames))
+            for mask, frames in pipe.gen.results().items()
+            for objset in [pipe.codec.decode(mask)]
+            for q in queries
+            if q.qid == 0 and 1 in objset or q.qid == 1
+        }
+        assert len(rows) == len(want) and set(rows) == want, fid
+        both = {r.qid: r for r in rows if r.objset == (1, 2)}
+        counts.append(both[0].n_frames)
+        if prev and prev[0].n_frames == both[0].n_frames:
+            assert prev[0] is both[0] and prev[1] is both[1], fid
+        prev = both
+    assert counts == [1, 2, 3, 4, 3, 2] + [2] * 10
+
+
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+def test_row_cache_drops_rows_of_released_bits(method):
+    """Cars 1 and 3 hold bits 0 and 1 for two frames, then leave; their
+    bits are released (at frame 6) and taken by people 2 and 4, who
+    dwell as long, so the mask and live counts repeat.  The rows name the people and
+    the person query, as a fresh pipeline fed only the people's frames
+    emits them, not the cars' cached rows."""
+    queries = [Query(0, ((Condition("car", ">=", 2),),)), Query(1, ((Condition("person", ">=", 2),),))]
+    pipe = QueryPipeline(queries, w=3, d=1, method=method)
+    cars = [(1, "car"), (3, "car")]
+    people = [(2, "person"), (4, "person")]
+    stream = [(0, cars), (1, cars)] + [(fid, []) for fid in range(2, 7)] + [(7, people), (8, people)]
+    car_rows = [pipe.feed(fid, objs) for fid, objs in stream[:2]]
+    assert car_rows == [[MatchRow(0, (1, 3), 1)], [MatchRow(0, (1, 3), 2)]]
+    (car_mask,) = pipe.gen.result_sizes()
+    fresh = QueryPipeline(queries, w=3, d=1, method=method)
+    for fid, objs in stream[2:]:
+        got = pipe.feed(fid, objs)
+        if fid >= 7:
+            assert got == fresh.feed(fid, objs), fid
+    assert got == [MatchRow(1, (2, 4), 2)]
+    assert list(pipe.gen.result_sizes()) == [car_mask] and car_mask in pipe._match_cache

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.evaluate import METHODS, make_generator, mcos_stream
+from repro.core.evaluate import METHODS, make_generator
 from repro.core.model import ObjSetCodec, State, merge_sorted_unique
-from tests.core.util import live_frames
+from tests.core.util import live_frames, mcos_stream
 
 
 # ----------------------------------------------------------------------

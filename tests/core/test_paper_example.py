@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.evaluate import mcos_stream
 from repro.core.mfs import MFSGenerator
 from repro.core.model import ObjSetCodec
-from tests.core.util import encode_stream, letters_stream
+from tests.core.util import encode_stream, letters_stream, mcos_stream
 
 SEGMENT = ["B", "ABC", "ABDF", "ABCF", "ABD"]
 

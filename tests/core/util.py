@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable, Iterator, NamedTuple
 
+from repro.core.evaluate import QueryPipeline, advance_frame, make_generator
 from repro.core.model import ObjSetCodec
+from repro.core.queries import Query
 
 
 def live_frames(st, lo: int) -> list[int]:
@@ -135,3 +138,48 @@ def held_stream(
         for _ in range(rng.randint(1, hold)):
             out.append((len(out), list(objs)))
     return out
+
+
+class FrameRow(NamedTuple):
+    """A match row with the fid of the frame whose ``feed`` returned it."""
+
+    fid: int
+    qid: int
+    objset: tuple[int, ...]
+    n_frames: int
+
+
+def evaluate_stream(
+    frames: Iterable[tuple[int, Iterable[tuple[int, str]]]],
+    queries: list[Query],
+    *,
+    w: int,
+    d: int,
+    method: str = "ssg",
+    prune: bool = False,
+) -> list[FrameRow]:
+    """Run one pipeline over the whole stream; every frame's match rows,
+    each with its frame's fid."""
+    pipe = QueryPipeline(queries, w=w, d=d, method=method, prune=prune)
+    return [FrameRow(fid, *row) for fid, objects in frames for row in pipe.feed(fid, objects)]
+
+
+def mcos_stream(
+    frames: Iterable[tuple[int, Iterable[int]]],
+    *,
+    w: int,
+    d: int,
+    method: str = "ssg",
+) -> Iterator[tuple[int, dict[tuple[int, ...], list[int]]]]:
+    """Query-less MCOS generation (Section 6.2 experiments): yields the
+    satisfied Result State Set per frame, decoded to oid tuples."""
+    codec = ObjSetCodec()
+    gen = make_generator(method, w, d)
+    last = None
+    for fid, oids in frames:
+        fid = int(fid)
+        if last is not None and fid <= last:
+            raise ValueError(f"frames must arrive in strictly increasing fid order: {fid} after {last}")
+        last = fid
+        advance_frame(gen, codec, fid, oids)
+        yield fid, {codec.decode(m): fr for m, fr in gen.results().items()}

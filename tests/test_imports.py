@@ -1,8 +1,10 @@
-"""The package does not depend on test-only libraries.
+"""The package does not depend on test-only libraries, nor define
+test-only code.
 
 ``src/repro`` is what jobs, benchmarks and Spark tasks import; test
-oracles and fixtures live under ``tests/``.  Every module is parsed
-(not imported), so the check needs none of the libraries it names.
+oracles, drivers and fixtures live under ``tests/``.  Every module is
+parsed (not imported), so the check needs none of the libraries it
+names.
 """
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 TEST_ONLY = {"duckdb", "pytest", "hypothesis"}
+# Stream drivers that only tests call; they live in ``tests/core/util.py``.
+TEST_ONLY_NAMES = {"evaluate_stream", "mcos_stream"}
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -30,3 +34,13 @@ def test_src_imports_no_test_only_library():
         str(p.relative_to(SRC)): sorted(_imported_roots(p) & TEST_ONLY) for p in modules
     }
     assert {m: libs for m, libs in offenders.items() if libs} == {}
+
+
+def test_src_defines_no_test_only_name():
+    defined = {
+        (str(p.relative_to(SRC)), node.name)
+        for p in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in TEST_ONLY_NAMES
+    }
+    assert defined == set()
