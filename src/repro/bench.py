@@ -89,21 +89,15 @@ def labeled_stream(name: str, p_o: int = 0, n_frames: int | None = None):
     return tuple((fid, by_fid.get(fid, ())) for fid in range(n))
 
 
-@lru_cache(maxsize=64)
-def object_stream(name: str, p_o: int = 0, n_frames: int | None = None):
-    """``[(fid, (oid, ...)), ...]``: :func:`labeled_stream` without the
-    classes, for MCOS-only runs (cached)."""
-    return tuple(
-        (fid, tuple(oid for oid, _ in objs)) for fid, objs in labeled_stream(name, p_o, n_frames)
-    )
-
-
 # ----------------------------------------------------------------------
 # timed kernels
 # ----------------------------------------------------------------------
 def run_mcos(stream, method: str, w: int, d: int) -> dict:
     """Time MCOS generation alone (Section 6.2): per-frame advance +
-    Result State Set production, as the paper measures."""
+    Result State Set production, as the paper measures.  ``stream`` is
+    a :func:`labeled_stream`; its classes are dropped before the clock
+    starts.  The row carries the generator's ``stats``."""
+    stream = [(fid, [oid for oid, _ in objs]) for fid, objs in stream]
     codec = ObjSetCodec()
     gen = make_generator(method, w, d)
     n_results = 0
@@ -116,21 +110,7 @@ def run_mcos(stream, method: str, w: int, d: int) -> dict:
         if ns > peak:
             peak = ns
     elapsed = time.perf_counter() - t0
-    return {
-        "seconds": elapsed,
-        "results": n_results,
-        "peak_states": peak,
-        "visits": gen.stats["visits"],
-        # Frames served from the previous frame's groups, and those of
-        # them that repeated its object set: no visits.
-        "derived": gen.stats["derived"],
-        "repeated": gen.stats["repeated"],
-        "expired": gen.stats["expired"],
-        "refiled": gen.stats["refiled"],
-        # SSG forest maintenance; the scan methods keep no edges.
-        "edges": gen.stats.get("edges", 0),
-        "reparented": gen.stats.get("reparented", 0),
-    }
+    return {"seconds": elapsed, "results": n_results, "peak_states": peak, **gen.stats}
 
 
 def run_query_eval(
@@ -174,7 +154,7 @@ def mcos_point(
 ) -> dict:
     """Figures 4-7: MCOS generation over the first ``frames`` frames
     (all by default), with the paper's ``w``/``d`` scaled."""
-    stream = object_stream(dataset, p_o, dataset_frames(dataset))[:frames]
+    stream = labeled_stream(dataset, p_o, dataset_frames(dataset))[:frames]
     return run_mcos(stream, method, *scaled_w_d(w, d))
 
 
@@ -195,23 +175,25 @@ def fig9_point(dataset: str, n_min: int, method: str) -> dict:
 
 def fig10_point(dataset: str, method: str) -> dict:
     """Figure 10: end-to-end seconds per query, including the
-    detection/tracking substrate."""
+    detection/tracking substrate.  Only the evaluation is timed here;
+    the tracking time and the seconds per query are placeholders that
+    :func:`fig10_totals` fills in once ``measure`` has scaled the row."""
     stream = labeled_stream(dataset, 0, dataset_frames(dataset))
     r = run_query_eval(stream, fig10_queries(), method, *scaled_w_d())
-    return fig10_totals({"dataset": dataset}, {
+    return {
         "track_seconds": 0.0,
         "eval_seconds": r["seconds"],
         "sec_per_query": 0.0,
         "matches": r["matches"],
         "evaluations": r["evaluations"],
-    })
+    }
 
 
 def fig10_totals(point: dict, r: dict) -> dict:
     """A Figure 10 row with its dataset's tracking time and the seconds
     per query over both.  The tracking time is scaled to the nominal
-    host speed build by build, so ``measure`` sets it again after it
-    scales the row's evaluation time."""
+    host speed build by build, so it is set after ``measure`` scales
+    the row's evaluation time."""
     track = substrate_seconds(point["dataset"], dataset_frames(point["dataset"]))
     return {**r, "track_seconds": track, "sec_per_query": (track + r["eval_seconds"]) / FIG10_QUERIES}
 

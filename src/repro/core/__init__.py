@@ -10,7 +10,8 @@ Layer map (paper section -> module):
 - Section 6.2 NAIVE baseline                -> :mod:`repro.core.naive`
 - Section 5.2 CNFEvalE                      -> :mod:`repro.core.cnf`
 - Section 5.2/5.3 coupling + pruning        -> :mod:`repro.core.evaluate`
-- from-definition test oracle               -> :mod:`repro.core.brute`
+- from-definition oracle (the tests' and
+  perfbench's correctness check)            -> :mod:`repro.core.brute`
 
 NAIVE, MFS and SSG run one update step (create / append / propagate
 marks / admit over the generator map) and differ along two axes:

@@ -1,4 +1,5 @@
-"""From-definition oracle for MCOS generation (tests only).
+"""From-definition oracle for MCOS generation, read by the tests and by
+perfbench's correctness check.
 
 For a concrete window (a list of ``(fid, objset-mask)`` pairs) the
 family of valid states is exactly the family of *closed* object sets:
@@ -41,33 +42,3 @@ def closed_states(window_frames: list[tuple[int, int]]) -> dict[int, list[int]]:
     for x in family:
         out[x] = [fid for fid, mask in window_frames if mask & x == x]
     return out
-
-
-def satisfied_states(
-    window_frames: list[tuple[int, int]], d: int
-) -> dict[int, list[int]]:
-    """Valid states whose support meets the duration threshold ``d``."""
-    return {
-        x: fids
-        for x, fids in closed_states(window_frames).items()
-        if len(fids) >= d
-    }
-
-
-def validity_threshold(window_frames: list[tuple[int, int]], objset: int) -> int | None:
-    """Newest frame ``f*`` such that the suffix of ``objset``'s support
-    from ``f*`` onward still intersects to exactly ``objset``.
-
-    This is the ground truth for mark exactness: a state's newest mark
-    must sit on ``f*`` (the state dies exactly when ``f*`` expires).
-    Returns ``None`` when ``objset`` is not valid in this window at all.
-    """
-    support = [(fid, m) for fid, m in window_frames if m & objset == objset]
-    best = None
-    for i in range(len(support)):
-        inter = ~0
-        for _, m in support[i:]:
-            inter &= m
-        if inter == objset:
-            best = support[i][0]
-    return best

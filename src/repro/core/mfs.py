@@ -84,9 +84,12 @@ class MFSGenerator:
         self.admit = admit
         # Enumeration cost (states scanned, or graph nodes visited),
         # frames served without enumeration (derived) and those of them
-        # that repeat the previous object set, states dropped, and
-        # bucket entries moved to a later key.
-        self.stats = {"visits": 0, "derived": 0, "repeated": 0, "expired": 0, "refiled": 0}
+        # that repeat the previous object set, states dropped, bucket
+        # entries moved to a later key, and SSG's forest edges added and
+        # nodes re-parented (none for the scan methods).
+        self.stats = dict.fromkeys(
+            ("visits", "derived", "repeated", "expired", "refiled", "edges", "reparented"), 0
+        )
         self._keys: list[int] = []  # heap of the bucket keys
         self._buckets: dict[int, list[State]] = {}
         self._sr: dict[int, State] = {}  # Result State Set, filtered by result_sizes
@@ -166,9 +169,10 @@ class MFSGenerator:
                 if len(fr) >= d:
                     sr[inter] = ex
             elif admit is None or admit(inter):
+                # Not empty and below ``fid``: a generator's newest frame
+                # is live, and none took ``fid`` (DESIGN.md §5).
                 fr = merge_sorted_unique([g.frames for g in glist], lo)
-                if not fr or fr[-1] != fid:
-                    fr.append(fid)
+                fr.append(fid)
                 st = self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
                 if len(fr) >= d:
                     sr[inter] = st

@@ -145,9 +145,10 @@ class State:
     mark: int = -1
 
     def n_live_frames(self, lo: int) -> int:
-        """``|F_s ∩ window|`` without mutating the state."""
+        """``|F_s ∩ window|`` without mutating the state.  A stored state
+        holds at least one frame, its newest, which is live."""
         fr = self.frames
-        if not fr or fr[0] >= lo:
+        if fr[0] >= lo:
             return len(fr)
         return len(fr) - bisect_left(fr, lo)
 

@@ -85,9 +85,6 @@ class SSGGenerator(MFSGenerator):
         # through it either (subtree never built).
         super().__init__(w, d, admit)
         self.roots: dict[int, SSGNode] = {}  # objset -> parentless node
-        # Edges added, and nodes moved to a new parent (§4.3.4 moves
-        # and the children of a dropped node).
-        self.stats.update(edges=0, reparented=0)
 
     def _add_edge(self, p: SSGNode, c: SSGNode) -> None:
         """Hang the parentless ``c ⊂ p`` below ``p`` or a descendant,

@@ -99,8 +99,12 @@ def evaluate_queries_stream(
     method: str = "ssg",
     prune: bool = False,
 ) -> DataFrame:
-    """Streaming match rows; same schema/semantics as the batch path.
+    """Streaming match rows, in the batch path's schema.
 
+    The rows equal the batch path's when every frame of a camera is in
+    the stream, a frame with no detections as a marker row.  At an
+    unmarked gap they differ: the batch path feeds the missing fid as an
+    empty frame and emits its rows, and the stream emits nothing for it.
     ``vr_stream`` must be a *streaming* DataFrame with the VR schema.
     Returns an append-mode streaming DataFrame to hand to
     ``.writeStream``.

@@ -211,7 +211,3 @@ class Scene:
                 survivors.append(o)
             live = survivors
             yield fid, out
-
-    @property
-    def n_spawned(self) -> int:
-        return self._next_oid

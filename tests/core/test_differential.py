@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import object_stream
 from repro.core import brute
 from repro.core.evaluate import MatchRow, QueryPipeline, make_generator
 from repro.core.model import ObjSetCodec
@@ -28,7 +27,10 @@ from tests.core.util import (
     live_frames,
     mcos_stream,
     most_objects_in,
+    profile_objects,
     random_stream,
+    satisfied_states,
+    validity_threshold,
 )
 
 METHODS = ["naive", "mfs", "ssg"]
@@ -48,7 +50,7 @@ def run_differential(stream, w, d, method):
         got = gen.results()
         assert gen.result_sizes() == {m: len(fr) for m, fr in got.items()}, f"fid={fid}"
         assert all(st_.n_live_frames(lo) >= d for st_ in gen._sr.values()), f"fid={fid}"
-        want = brute.satisfied_states(window, d)
+        want = satisfied_states(window, d)
         assert got == want, (
             f"method={method} fid={fid} w={w} d={d}\n"
             f"got : {{ {', '.join(f'{codec.decode(m)}:{fr}' for m, fr in sorted(got.items()))} }}\n"
@@ -84,7 +86,7 @@ def test_new_state_from_untrimmed_generators(method):
     assert gen.states[a].frames == want[a] == [2, 3, 4, 5]
     results = gen.results()
     assert ac not in results and results[a] == [2, 3, 4, 5]
-    assert results == brute.satisfied_states(enc[lo:], d)
+    assert results == satisfied_states(enc[lo:], d)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -161,7 +163,7 @@ def test_result_state_set_holds_only_results(method, name, d):
     (NAIVE's also holds the non-closed states it filters).  Members do
     leave the set, and results equal the oracle's throughout."""
     w = 30
-    stream = list(object_stream(name, 0, 300)[100:])
+    stream = profile_objects(name, 300)[100:]
     _, enc = encode_stream(stream)
     gen = make_generator(method, w, d)
     window: list[tuple[int, int]] = []
@@ -177,7 +179,7 @@ def test_result_state_set_holds_only_results(method, name, d):
         assert all(st_.n_live_frames(lo) >= d for st_ in gen._sr.values()), f"fid={fid}"
         if method != "naive":
             assert len(gen._sr) == len(sizes), f"fid={fid}"
-        assert gen.results() == brute.satisfied_states(window, d), f"fid={fid}"
+        assert gen.results() == satisfied_states(window, d), f"fid={fid}"
     assert left, "no member left the Result State Set: weak test"
 
 
@@ -200,7 +202,7 @@ def test_naive_keeps_incomparable_states_of_one_key():
     gen, window, enc = naive_after(["AB", "A", "B", "AB"], 4, 2)
     a, b = enc("A"), enc("B")
     assert gen.result_sizes() == {a: 3, b: 3, a | b: 2}
-    assert gen.results() == brute.satisfied_states(window, 2)
+    assert gen.results() == satisfied_states(window, 2)
 
 
 @pytest.mark.parametrize("w", [2, 3])
@@ -214,7 +216,7 @@ def test_naive_keeps_largest_of_a_chain(w):
     lo = 5 - w
     chain = {m: live_frames(st_, lo) for m, st_ in gen._sr.items() if m & abc == m}
     assert len(chain) == 3 and len(set(map(tuple, chain.values()))) == 1
-    assert gen.results() == brute.satisfied_states(window, 1) == {abc: list(range(lo, 5))}
+    assert gen.results() == satisfied_states(window, 1) == {abc: list(range(lo, 5))}
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -222,7 +224,7 @@ def test_naive_selection_on_m1(d):
     """200 frames of the M1 profile (moving camera, high churn) at w=30:
     the Result State Set holds invalid states on most frames, and the
     selection returns the oracle's states on every frame."""
-    stream = list(object_stream("M1", 0, 300)[100:])
+    stream = profile_objects("M1", 300)[100:]
     gen = run_differential(stream, 30, d, "naive")
     assert len(gen._sr) > len(gen.result_sizes()), "no invalid state in SR: weak test"
 
@@ -268,7 +270,7 @@ def test_equal_frames_split(method, gap, empties, fires):
     gen.advance(fid, abd)
     gen.check_invariants()
     window = [(f, m) for f, m in enc if f > fid - W]
-    assert gen.results() == brute.satisfied_states(window, D)
+    assert gen.results() == satisfied_states(window, D)
     assert gen.stats["repeated"] - repeated == fires
     st_ = gen.states[abd]
     assert st_.mark == fid
@@ -375,7 +377,7 @@ def check_marks(method, stream):
         got = {smask: live_frames(st_, lo) for smask, st_ in kept.items()}
         assert got == brute.closed_states(window), f"method={method} fid={fid}"
         for smask, st_ in kept.items():
-            fstar = brute.validity_threshold(window, smask)
+            fstar = validity_threshold(window, smask)
             assert fstar is not None, (
                 f"method={method} fid={fid}: invalid state {codec.decode(smask)} survived"
             )
@@ -424,7 +426,7 @@ def run_recycling(stream, w, d):
         while window[0][0] < fid - w + 1:
             window.pop(0)
         objs = [(o, "car" if o % 2 else "person") for o in oids]
-        want = {ref.decode(m): fr for m, fr in brute.satisfied_states(window, d).items()}
+        want = {ref.decode(m): fr for m, fr in satisfied_states(window, d).items()}
         for method in METHODS:
             assert next(gens[method]) == (fid, want), f"mcos_stream {method} fid={fid}"
         for (method, prune), pipe in pipes.items():
@@ -499,7 +501,7 @@ def test_repeated_frame_with_terminated_group(method):
     for i, (fid, oids) in enumerate(stream):
         before = (pipe.stats.terminated, pipe.stats.evaluations, pipe.gen.stats["repeated"])
         rows = pipe.feed(fid, [(o, "car" if o % 2 else "person") for o in oids])
-        want = {ref.decode(m): fr for m, fr in brute.satisfied_states(enc[: i + 1], 1).items()}
+        want = {ref.decode(m): fr for m, fr in satisfied_states(enc[: i + 1], 1).items()}
         want = {x: fr for x, fr in want.items() if pairs_qids(x)}
         assert {pipe.codec.decode(m): fr for m, fr in pipe.gen.results().items()} == want
         assert sorted(rows) == sorted(
@@ -570,7 +572,7 @@ def test_derived_frame_counters(method, seed, w, d):
             counts["cut"] += mask != last[1]
         elif mask:
             counts["enumerated"] += 1
-        assert gen.results() == brute.satisfied_states(window, d), f"fid={fid}"
+        assert gen.results() == satisfied_states(window, d), f"fid={fid}"
         if mask:
             last = (fid, mask)
     assert counts["enumerated"] > 0 and (counts["cut"] > 0 or w == 1), f"weak test: {counts}"
@@ -592,7 +594,7 @@ def test_reentering_object_forces_enumeration(method, w, derived):
     gen.check_invariants()
     assert gen.stats["derived"] - before["derived"] == derived
     assert (gen.stats["visits"] == before["visits"]) == derived
-    assert gen.results() == brute.satisfied_states(enc[max(0, 3 - w) :], 1)
+    assert gen.results() == satisfied_states(enc[max(0, 3 - w) :], 1)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -629,7 +631,7 @@ def test_derived_frame_with_terminated_cut_group(method):
         before = (pipe.stats.terminated, pipe.gen.stats["derived"], pipe.gen.stats["visits"])
         rows = pipe.feed(fid, [(o, "car" if o % 2 else "person") for o in oids])
         pipe.gen.check_invariants()
-        want = {ref.decode(m): fr for m, fr in brute.satisfied_states(enc[: i + 1], 1).items()}
+        want = {ref.decode(m): fr for m, fr in satisfied_states(enc[: i + 1], 1).items()}
         want = {x: fr for x, fr in want.items() if pairs_qids(x)}
         assert {pipe.codec.decode(m): fr for m, fr in pipe.gen.results().items()} == want
         assert sorted(rows) == sorted(

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, NamedTuple
 
+from repro.bench import labeled_stream
+from repro.core.brute import closed_states
 from repro.core.evaluate import QueryPipeline, advance_frame, make_generator
 from repro.core.model import ObjSetCodec
 from repro.core.queries import Query
@@ -12,6 +14,42 @@ from repro.core.queries import Query
 def live_frames(st, lo: int) -> list[int]:
     """A stored state's frames from the window low bound ``lo`` on."""
     return [f for f in st.frames if f >= lo]
+
+
+def satisfied_states(
+    window_frames: list[tuple[int, int]], d: int
+) -> dict[int, list[int]]:
+    """Valid states whose support meets the duration threshold ``d``."""
+    return {
+        x: fids
+        for x, fids in closed_states(window_frames).items()
+        if len(fids) >= d
+    }
+
+
+def validity_threshold(window_frames: list[tuple[int, int]], objset: int) -> int | None:
+    """Newest frame ``f*`` such that the suffix of ``objset``'s support
+    from ``f*`` onward still intersects to exactly ``objset``.
+
+    This is the ground truth for mark exactness: a state's newest mark
+    must sit on ``f*`` (the state dies exactly when ``f*`` expires).
+    Returns ``None`` when ``objset`` is not valid in this window at all.
+    """
+    support = [(fid, m) for fid, m in window_frames if m & objset == objset]
+    best = None
+    for i in range(len(support)):
+        inter = ~0
+        for _, m in support[i:]:
+            inter &= m
+        if inter == objset:
+            best = support[i][0]
+    return best
+
+
+def profile_objects(name: str, n_frames: int) -> list[tuple[int, list[int]]]:
+    """The first ``n_frames`` frames of a dataset profile as
+    ``(fid, [oid, ...])``: its labelled stream without the classes."""
+    return [(fid, [oid for oid, _ in objs]) for fid, objs in labeled_stream(name, 0, n_frames)]
 
 
 def letters_stream(frames: list[str]) -> list[tuple[int, list[int]]]:

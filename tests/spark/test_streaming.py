@@ -20,6 +20,7 @@ from repro.core.queries import Condition, Query, geq_only_queries, random_cnf_qu
 from repro.spark.batch import (
     EMPTY_FRAME_OID,
     RESULT_COLUMNS,
+    _frames_of_group,
     evaluate_queries_batch,
     frames_by_fid,
     match_rows,
@@ -220,6 +221,20 @@ def test_update_fn_with_fid_gaps():
     want = pipeline_rows(vr, queries, w=w, d=d, method="ssg")
     assert per_frame(got) == per_frame(want)
     assert max(r[1] for r in got) > 1250, "no rows after the wide gap: weak test"
+
+
+@pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
+def test_unmarked_gap_emits_batch_rows_only(method):
+    """At a fid left out without a marker the two paths part: the batch
+    path feeds it as an empty frame and emits its rows, the stream feeds
+    nothing and emits none for it.  VR rows at fids 0, 1 and 3, w=4, d=1."""
+    queries = [Query(0, ((Condition("car", ">=", 1),),))]
+    vr = vr_rows((0, 1, "car"), (1, 1, "car"), (3, 1, "car"))
+    pipe = QueryPipeline(queries, w=4, d=1, method=method)
+    batch = match_rows("cam0", pipe, _frames_of_group(vr))
+    assert list(batch.fid) == [0, 1, 2, 3]
+    stream = run_update([vr], queries, w=4, d=1, method=method)
+    assert [r[1] for r in stream] == [0, 1, 3]
 
 
 def test_update_fn_late_frames():

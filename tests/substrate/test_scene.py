@@ -87,11 +87,3 @@ def test_invalid_configs_rejected():
         cfg(class_mix=(("car", 0.5),))
     with pytest.raises(ValueError):
         cfg(p_long=1.5)
-
-
-def test_n_spawned_counts_all_objects():
-    c = cfg(n_long=3)
-    sc = Scene(c)
-    frames = list(sc)
-    oids = {o.oid for _, objs in frames for o in objs}
-    assert sc.n_spawned >= len(oids)

@@ -17,10 +17,8 @@ def tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.05")
     # the stream caches key on n_frames, which scales with the env var,
     # so no cross-test pollution — but clear anyway for hygiene.
-    bench.object_stream.cache_clear()
     bench.labeled_stream.cache_clear()
     yield
-    bench.object_stream.cache_clear()
     bench.labeled_stream.cache_clear()
 
 
@@ -30,25 +28,21 @@ def test_scaled_w_d_preserves_ratio():
     assert abs(d / w - 0.8) < 0.25
 
 
-def test_object_stream_covers_every_frame():
-    stream = bench.object_stream("V1")
+def test_labeled_stream_covers_every_frame():
+    stream = bench.labeled_stream("V1")
     n = bench.dataset_frames("V1")
     assert [fid for fid, _ in stream] == list(range(n))
 
 
-def test_labeled_stream_consistent_with_object_stream():
-    objs = bench.object_stream("D1")
-    labeled = bench.labeled_stream("D1")
-    for (f1, oids), (f2, pairs) in zip(objs, labeled):
-        assert f1 == f2
-        assert tuple(o for o, _ in pairs) == oids
-
-
 def test_run_mcos_methods_agree_on_result_counts():
-    stream = bench.object_stream("V2")
+    stream = bench.labeled_stream("V2")
     w, d = bench.scaled_w_d()
     runs = {m: bench.run_mcos(stream, m, w, d) for m in ("naive", "mfs", "ssg")}
     assert len({r["results"] for r in runs.values()}) == 1
+    # one row shape for every method, so the figure CSVs keep their columns
+    columns = ["seconds", "results", "peak_states", "visits", "derived", "repeated",
+               "expired", "refiled", "edges", "reparented"]
+    assert all(list(r) == columns for r in runs.values())
     # forest counters: zero for the scan methods, counted for SSG
     assert runs["naive"]["edges"] == runs["mfs"]["reparented"] == 0
     assert runs["ssg"]["edges"] > 0
@@ -64,10 +58,11 @@ def test_run_query_eval_prune_consistency():
 
 
 def run_points(name: str, **where) -> list[dict]:
-    """Rows of the artifact's grid points whose values are in ``where``."""
+    """Rows of the artifact's grid points whose values are in ``where``,
+    each measured once."""
     art = bench.ARTIFACTS[name]
     return [
-        {**p, **art.run(**p)}
+        {**p, **bench.measure(art, p)}
         for p in art.grid()
         if all(p[k] in v for k, v in where.items())
     ]
@@ -201,14 +196,15 @@ def test_rows_without_times_carry_no_probe(monkeypatch):
 def test_run_mcos_counts_repeated_frames():
     """V1's objects dwell: many frames repeat the previous object set,
     and each one is served without visits."""
-    stream = bench.object_stream("V1")
+    stream = bench.labeled_stream("V1")
     w, d = bench.scaled_w_d()
     runs = {m: bench.run_mcos(stream, m, w, d) for m in ("naive", "mfs", "ssg")}
     repeats, last = 0, (-w, None)  # previous non-empty frame
-    for fid, oids in stream:
-        if oids:
-            repeats += set(oids) == last[1] and last[0] > fid - w
-            last = (fid, set(oids))
+    for fid, objs in stream:
+        if objs:
+            oids = {oid for oid, _ in objs}
+            repeats += oids == last[1] and last[0] > fid - w
+            last = (fid, oids)
     assert {r["repeated"] for r in runs.values()} == {repeats} and repeats > 0
 
 
@@ -217,7 +213,7 @@ def test_run_mcos_counts_derived_frames():
     lose objects, or gain ones no stored state holds, and each is
     derived from the previous frame's groups.  Every method derives the
     same frames, and they include the repeats."""
-    stream = bench.object_stream("M1")
+    stream = bench.labeled_stream("M1")
     w, d = bench.scaled_w_d()
     runs = {m: bench.run_mcos(stream, m, w, d) for m in ("naive", "mfs", "ssg")}
     assert len({(r["derived"], r["repeated"]) for r in runs.values()}) == 1

@@ -9,12 +9,21 @@ names.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+# The code that runs the package: the package itself, the Spark jobs
+# and the benchmark.
+CALLERS = (SRC, ROOT / "jobs", ROOT / "perfbench")
 TEST_ONLY = {"duckdb", "pytest", "hypothesis"}
-# Stream drivers that only tests call; they live in ``tests/core/util.py``.
-TEST_ONLY_NAMES = {"evaluate_stream", "mcos_stream"}
+# Definitions that only tests reach; they live in ``tests/core/util.py``
+# (stream drivers and oracle helpers) or are gone.
+TEST_ONLY_NAMES = {
+    "evaluate_stream", "mcos_stream", "satisfied_states", "validity_threshold", "n_spawned",
+}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -41,6 +50,40 @@ def test_src_defines_no_test_only_name():
         (str(p.relative_to(SRC)), node.name)
         for p in sorted(SRC.rglob("*.py"))
         for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in TEST_ONLY_NAMES
+        if isinstance(node, DEFS) and node.name in TEST_ONLY_NAMES
     }
     assert defined == set()
+
+
+def _names(node: ast.AST) -> Counter:
+    """Every identifier ``node`` names: read names, attributes, imported
+    names and defined names.  A definition names its overrides, which
+    are reached through its callers."""
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(n, DEFS):
+            out[n.name] += 1
+    return out
+
+
+def test_src_defines_nothing_only_tests_reach():
+    """Every function, method and class defined in ``src/repro``
+    (dunders exempt) is named in ``src/repro``, ``jobs/`` or
+    ``perfbench/`` outside its own definition."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for root in CALLERS for p in sorted(root.rglob("*.py"))}
+    named = sum((_names(t) for t in trees.values()), Counter())
+    unreached = {
+        (str(p.relative_to(SRC)), node.name)
+        for p, tree in trees.items() if p.is_relative_to(SRC)
+        for node in ast.walk(tree)
+        if isinstance(node, DEFS) and not node.name.startswith("__")
+        and named[node.name] == _names(node)[node.name]
+    }
+    assert unreached == set()
