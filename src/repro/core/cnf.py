@@ -13,7 +13,7 @@ conditions see absent classes correctly.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Iterable
 
@@ -63,14 +63,15 @@ class CNFEvalE:
         for label, v in counts.items():
             geq = self._geq.get(label)
             if geq:
-                # postings with n <= v, scanned in ascending value order
-                hi = bisect_right(geq, (v, float("inf"), 0))
+                # postings with n <= v, scanned in ascending value order;
+                # a one-field probe sorts before every posting of its value
+                hi = bisect_left(geq, (v + 1,))
                 for n, qid, disj_id in geq[:hi]:
                     satisfied.add((qid, disj_id))
             leq = self._leq.get(label)
             if leq:
                 # postings with n >= v
-                lo = bisect_left(leq, (v, -1, -1))
+                lo = bisect_left(leq, (v,))
                 for n, qid, disj_id in leq[lo:]:
                     satisfied.add((qid, disj_id))
             for qid, disj_id in self._eq.get((label, v), ()):

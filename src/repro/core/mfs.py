@@ -11,8 +11,10 @@ its newest mark expires; NAIVE never reads the marks it keeps).
 
 Expiry and result collection touch only the states they concern.
 Every stored state is filed under its *death key* (``_key``: newest
-mark, or NAIVE's newest frame) in buckets popped in key order; a state
-whose key has moved up since is re-filed when its old bucket pops.
+mark, or NAIVE's newest frame), a fid in the window, in a calendar of
+buckets indexed by that fid: each frame pops the fids that left the
+window, and a state whose key has moved up since is re-filed when its
+old bucket pops.
 The update step writes Result State Set (§4.3.7) membership: a stored
 state joins when an append or a creation brings it to ``d`` live
 frames, and leaves when it is dropped or when ``result_sizes``, the
@@ -60,7 +62,6 @@ DESIGN.md):
 from __future__ import annotations
 
 from bisect import bisect_left
-from heapq import heappop, heappush
 from typing import Callable, Iterable
 
 from repro.core.model import State, merge_sorted_unique
@@ -90,8 +91,7 @@ class MFSGenerator:
         self.stats = dict.fromkeys(
             ("visits", "derived", "repeated", "expired", "refiled", "edges", "reparented"), 0
         )
-        self._keys: list[int] = []  # heap of the bucket keys
-        self._buckets: dict[int, list[State]] = {}
+        self._buckets: dict[int, list[State]] = {}  # death key -> states
         self._sr: dict[int, State] = {}  # Result State Set, filtered by result_sizes
         self._lo = 0
         # The previous non-empty frame's mask and fid, and its stored
@@ -115,9 +115,10 @@ class MFSGenerator:
         place; the others are grouped by their cut ``key & objs_mask``,
         and those groups go through the append/propagate/create step of
         an enumerated frame (DESIGN.md §5, "Derived frames")."""
-        lo = self._lo = fid - self.w + 1
+        lo = fid - self.w + 1
         d = self.d
         self._expire(lo)
+        self._lo = lo
         sr = self._sr
         if not objs_mask:
             return
@@ -220,20 +221,21 @@ class MFSGenerator:
         return st.mark
 
     def _file(self, st: State, key: int) -> None:
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [st]
-            heappush(self._keys, key)
-        else:
-            bucket.append(st)
+        self._buckets.setdefault(key, []).append(st)
 
     def _expire(self, lo: int) -> None:
         """Pop the buckets keyed below ``lo``: drop the states whose
         death key expired — by Theorem 1 those states are invalid —
-        and re-file the others under their current key."""
-        keys, buckets, stats = self._keys, self._buckets, self.stats
-        while keys and keys[0] < lo:
-            for st in buckets.pop(heappop(keys)):
+        and re-file the others under their current key, at or above
+        ``lo``.  Every key is a fid of the previous window, so at most
+        ``w`` fids are probed, in ascending order, however far the fids
+        jump."""
+        prev_lo, buckets, stats = self._lo, self._buckets, self.stats
+        for old in range(prev_lo, min(lo, prev_lo + self.w)):
+            bucket = buckets.pop(old, None)
+            if bucket is None:
+                continue
+            for st in bucket:
                 key = self._key(st)
                 if key < lo:
                     self._drop(st)
@@ -296,12 +298,14 @@ class MFSGenerator:
 
     def check_invariants(self) -> None:
         """Filing invariants, asserted by tests after every frame."""
-        assert sorted(self._keys) == sorted(self._buckets), "heap and buckets disagree"
         filed = [(key, st) for key, bucket in self._buckets.items() for st in bucket]
         assert len(filed) == self.n_states(), "entries differ from stored states"
         assert {id(st) for _, st in filed} == set(map(id, self.states.values())), "filing"
+        lo, w = self._lo, self.w
         for key, st in filed:
-            assert self._lo <= key <= self._key(st), f"key {key} outside [lo, death key]"
+            assert lo <= key <= self._key(st), f"key {key} outside [lo, death key]"
+            # What bounds ``_expire``: every key is a fid of the window.
+            assert key < lo + w, f"key {key} beyond the window's newest fid"
         # What a derived frame relies on: a stored state meets the last
         # non-empty frame in a listed key, unless ``admit`` refused it.
         last_mask, _, keys = self._last

@@ -8,16 +8,17 @@ are the ones MFS/SSG exist to avoid.
 
 The paper filters by grouping the Result State Set by frame set and
 keeping the largest object set of each group.  Here the states with
-fewer than ``d`` live frames leave the set first, and the group key is
-``(live count, oldest live fid, newest fid)``, not the frame list
-itself.  Frame sets are complete (every window frame holding the
-object set), so a state strictly containing another with an equal
-count has the same frame set, and each frame set's closed set lies in
-the bucket of all its states.  A bucket of one state keeps it; any
-other bucket is visited largest-first, keeping each state that no kept
-state contains.  The kept states are exactly the closed sets, as with
-grouping by frame list (DESIGN.md §5).  ``results`` lists the frames
-of the states this selection keeps.
+fewer than ``d`` live frames leave the set first, and one pass groups
+the rest by ``(live count, oldest live fid, newest fid)``, not by the
+frame list itself.  Frame sets are complete (every window frame
+holding the object set), so a state strictly containing another with
+an equal count has the same frame set: containment never crosses
+groups, and each frame set's closed set lies in the group of all its
+states.  A group of one state keeps it; any other group is visited
+largest-first, keeping each state that no kept state contains.  The
+kept states are exactly the closed sets, as with grouping by frame
+list (DESIGN.md §5).  ``results`` lists the frames of the states this
+selection keeps.
 
 NAIVE runs the update step shared by all three generators
 (:mod:`repro.core.mfs`: scan enumeration, creation, append, marking,
@@ -52,24 +53,16 @@ class NaiveGenerator(MFSGenerator):
         the Result State Set that hold ``d`` live frames (MFS's filter),
         ``{mask: live frame count}``: the closed sets."""
         sr = self._sr
-        first: dict[tuple[int, int, int], int] = {}  # bucket key -> first mask
-        setdefault = first.setdefault
-        out: dict[int, int] = {}
-        clashes: dict[tuple[int, int, int], list[int]] = {}
+        groups: dict[tuple[int, int, int], list[int]] = {}
         for mask, n in super().result_sizes().items():
             fr = sr[mask].frames
             # A stored state's live frames are its last ``n``.
-            key = (n, fr[-n], fr[-1])
-            if setdefault(key, mask) is mask:
-                out[mask] = n
-            else:
-                bucket = clashes.get(key)
-                if bucket is None:
-                    clashes[key] = [first[key], mask]
-                else:
-                    bucket.append(mask)
-        for (n, _, _), masks in clashes.items():
-            del out[masks[0]]
+            groups.setdefault((n, fr[-n], fr[-1]), []).append(mask)
+        out: dict[int, int] = {}
+        for (n, _, _), masks in groups.items():
+            if len(masks) == 1:
+                out[masks[0]] = n
+                continue
             kept: list[int] = []
             for mask in sorted(masks, key=int.bit_count, reverse=True):
                 if not any(mask & k == mask for k in kept):

@@ -54,13 +54,10 @@ def _profile(
     dwell: float,
     occ: float,
     occl_len: float,
-    p_long: float = 0.0,
     n_long: int = 0,
     long_occl_factor: float = 0.18,
     camera_speed: float = 0.0,
     mix=_TRAFFIC_MIX,
-    p_miss: float = 0.015,
-    max_age: int = 25,
     seed: int = 0,
 ) -> DatasetProfile:
     return DatasetProfile(
@@ -70,7 +67,6 @@ def _profile(
             arrival_rate=arrival,
             dwell_mean=dwell,
             class_mix=mix,
-            p_long=p_long,
             n_long=n_long,
             long_occl_factor=long_occl_factor,
             occl_rate=occ,
@@ -78,8 +74,8 @@ def _profile(
             camera_speed=camera_speed,
             seed=seed,
         ),
-        detector=DetectorConfig(p_miss=p_miss, seed=seed),
-        tracker=TrackerConfig(max_age=max_age),
+        detector=DetectorConfig(p_miss=0.015, seed=seed),
+        tracker=TrackerConfig(),
     )
 
 

@@ -57,14 +57,17 @@ def test_duplicate_qid_rejected():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(10))
 def test_cnfevale_random_differential(seed):
+    """Each seed also runs with negative qids: a range lookup whose probe
+    compares a posting's qid would skip postings of the probed value."""
     rng = random.Random(seed)
     queries = random_cnf_queries(25, seed=seed, n_hi=6)
-    ev = CNFEvalE(queries)
+    negative = [Query(-2 - q.qid, q.cnf) for q in queries]
     labels = query_labels(queries)
-    for _ in range(60):
-        counts = {label: rng.randint(0, 7) for label in labels}
-        want = {q.qid for q in queries if q.holds(counts)}
-        assert ev.evaluate(counts) == want
+    for qs in (queries, negative):
+        ev = CNFEvalE(qs)
+        for _ in range(60):
+            counts = {label: rng.randint(0, 7) for label in labels}
+            assert ev.evaluate(counts) == {q.qid for q in qs if q.holds(counts)}
 
 
 @settings(max_examples=60, deadline=None)

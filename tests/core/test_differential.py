@@ -122,14 +122,16 @@ def test_streams_with_empty_frames(method, seed):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("w,d", [(5, 2), (8, 4), (10, 7)])
 def test_streams_with_fid_gaps(method, seed, w, d):
-    """Fids skip by 1, 2, 3, w+1 or 2w+5: several frames, or the whole
-    window, expire at once, so expiry meets death keys out of step."""
+    """Fids skip by 1, 2, 3, w+1, 2w+5 or 10**12: several frames, or the
+    whole window, expire at once, so expiry meets death keys out of
+    step.  A skip of 10**12 ends only because expiry probes at most
+    the ``w`` fids of the previous window."""
     rng = random.Random(seed)
     fid = 0
     stream = []
     for _, objs in bursty_stream(60, n_objects=8, dwell=6, occl=0.2, seed=seed):
         stream.append((fid, objs))
-        fid += rng.choice((1, 1, 2, 3, w + 1, 2 * w + 5))
+        fid += rng.choice((1, 1, 2, 3, w + 1, 2 * w + 5, 10**12))
     run_differential(stream, w, d, method)
 
 
