@@ -2,7 +2,7 @@
 """Materialise the six VR relations as parquet (one file per dataset).
 
 Not required by the benchmarks (which generate in-process) but useful
-for inspecting the substrate output or feeding the streaming demo.
+for inspecting the substrate output.
 """
 import os
 

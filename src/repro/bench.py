@@ -82,11 +82,10 @@ def labeled_stream(name: str, p_o: int = 0, n_frames: int | None = None):
     """``[(fid, ((oid, cls), ...)), ...]`` for a dataset profile (cached)."""
     n = n_frames if n_frames is not None else dataset_frames(name)
     vr = build_vr(name, p_o=p_o, n_frames=n)
-    by_fid = {
-        fid: tuple(zip(g["oid"].astype(int), g["cls"]))
-        for fid, g in vr.groupby("fid")
-    }
-    return tuple((fid, by_fid.get(fid, ())) for fid in range(n))
+    by_fid: dict[int, list[tuple[int, str]]] = {}
+    for fid, oid, cls in zip(vr["fid"].tolist(), vr["oid"].tolist(), vr["cls"].tolist()):
+        by_fid.setdefault(fid, []).append((oid, cls))
+    return tuple((fid, tuple(by_fid.get(fid, ()))) for fid in range(n))
 
 
 # ----------------------------------------------------------------------

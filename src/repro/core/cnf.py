@@ -6,16 +6,16 @@ label for ``>=``, ``<=`` and ``==``, each key holding a value-ordered
 posting list, scanned in order up to the input count.  A query is true
 when every one of its disjunctions has a retrieved posting.
 
-The video pipeline feeds :class:`CNFEvalE` the per-class object counts
-of each MCOS, zero-filled over the query label universe
-(:func:`repro.core.queries.query_labels`), so ``<= n`` and ``== 0``
-conditions see absent classes correctly.
+The indexes are built once, over a standing query set, and fix the
+order of :attr:`CNFEvalE.labels`, the labels the queries name.  The
+video pipeline feeds :meth:`CNFEvalE.evaluate` one count per label in
+that order, so every label, absent classes included, is evaluated.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
-from typing import Iterable
+from collections import Counter
+from typing import Iterable, Sequence
 
 from repro.core.queries import Query
 
@@ -23,60 +23,39 @@ from repro.core.queries import Query
 class CNFEvalE:
     """Three value-ordered inverted indexes (>=, <=, ==) per label."""
 
-    def __init__(self, queries: Iterable[Query] = ()) -> None:
-        # label -> sorted list of (n, qid, disj_id); ascending for >=
-        # (scan postings with n <= v), descending handled via bisect on
-        # the ascending list for <= (scan postings with n >= v).
-        self._geq: dict[str, list[tuple[int, int, int]]] = defaultdict(list)
-        self._leq: dict[str, list[tuple[int, int, int]]] = defaultdict(list)
-        self._eq: dict[tuple[str, int], list[tuple[int, int]]] = defaultdict(list)
+    def __init__(self, queries: Iterable[Query]) -> None:
+        # label -> (>= postings, <= postings, == map); a posting is
+        # (n, qid, disj_id), an == entry n -> [(qid, disj_id), ...]
+        by_label: dict[str, tuple[list, list, dict]] = {}
         self._n_disj: dict[int, int] = {}
         for q in queries:
-            self.add(q)
+            if q.qid in self._n_disj:
+                raise ValueError(f"duplicate qid {q.qid}")
+            self._n_disj[q.qid] = len(q.cnf)
+            for disj_id, disj in enumerate(q.cnf):
+                for cond in disj:
+                    geq, leq, eq = by_label.setdefault(cond.label, ([], [], {}))
+                    if cond.op == ">=":
+                        geq.append((cond.n, q.qid, disj_id))
+                    elif cond.op == "<=":
+                        leq.append((cond.n, q.qid, disj_id))
+                    else:
+                        eq.setdefault(cond.n, []).append((q.qid, disj_id))
+        self.labels = tuple(sorted(by_label))
+        self._index = [by_label[label] for label in self.labels]
+        for geq, leq, _ in self._index:
+            geq.sort()
+            leq.sort()
 
-    def add(self, q: Query) -> None:
-        if q.qid in self._n_disj:
-            raise ValueError(f"duplicate qid {q.qid}")
-        self._n_disj[q.qid] = len(q.cnf)
-        for disj_id, disj in enumerate(q.cnf):
-            for cond in disj:
-                if cond.op == ">=":
-                    self._geq[cond.label].append((cond.n, q.qid, disj_id))
-                elif cond.op == "<=":
-                    self._leq[cond.label].append((cond.n, q.qid, disj_id))
-                else:
-                    self._eq[(cond.label, cond.n)].append((q.qid, disj_id))
-        for lst in self._geq.values():
-            lst.sort()
-        for lst in self._leq.values():
-            lst.sort()
-
-    def evaluate(self, counts: dict[str, int]) -> set[int]:
-        """qids satisfied by per-label counts.
-
-        ``counts`` must cover every label the queries name (zero for
-        absent classes): a label missing from ``counts`` satisfies none
-        of its conditions, not even ``<= n``.  The pipeline zero-fills
-        over ``query_labels``.
-        """
+    def evaluate(self, counts: Sequence[int]) -> set[int]:
+        """qids satisfied by ``counts``, one count per label of
+        :attr:`labels`, in that order."""
         satisfied: set[tuple[int, int]] = set()
-        for label, v in counts.items():
-            geq = self._geq.get(label)
-            if geq:
-                # postings with n <= v, scanned in ascending value order;
-                # a one-field probe sorts before every posting of its value
-                hi = bisect_left(geq, (v + 1,))
-                for n, qid, disj_id in geq[:hi]:
-                    satisfied.add((qid, disj_id))
-            leq = self._leq.get(label)
-            if leq:
-                # postings with n >= v
-                lo = bisect_left(leq, (v,))
-                for n, qid, disj_id in leq[lo:]:
-                    satisfied.add((qid, disj_id))
-            for qid, disj_id in self._eq.get((label, v), ()):
+        for (geq, leq, eq), v in zip(self._index, counts, strict=True):
+            # >= postings with n <= v and <= postings with n >= v; a
+            # one-field probe sorts before every posting of its value
+            for _, qid, disj_id in geq[: bisect_left(geq, (v + 1,))] + leq[bisect_left(leq, (v,)):]:
                 satisfied.add((qid, disj_id))
-        counter: dict[int, int] = defaultdict(int)
-        for qid, _disj in satisfied:
-            counter[qid] += 1
+            satisfied.update(eq.get(v, ()))
+        counter = Counter(qid for qid, _ in satisfied)
         return {qid for qid, n in counter.items() if n == self._n_disj[qid]}

@@ -9,8 +9,10 @@ The pipeline drives one generator (NAIVE / MFS / SSG) over a
    :class:`~repro.core.cnf.CNFEvalE` runs once per distinct vector.
    A CNFEvalE atom is ``class θ n`` (§5.2), so the satisfied queries
    depend on the counts alone: the pipeline keeps one bitmask per
-   query label, a vector is ``popcount(mask & class_mask)`` per label,
-   and ``evaluate`` is memoised on it (the query set never changes);
+   label of ``engine.labels``, a vector is ``popcount(mask &
+   class_mask)`` per label, in the order ``evaluate`` takes, and
+   ``evaluate`` is memoised on it (the engine's index is built once,
+   so its query set never changes);
 3. a row is emitted for every ``(state, query)`` pair evaluated TRUE;
    each object set is decoded once, when it first matches, and a
    state's rows are built again only when its live frame count changes.
@@ -36,7 +38,7 @@ from repro.core.cnf import CNFEvalE
 from repro.core.mfs import MFSGenerator
 from repro.core.model import ObjSetCodec
 from repro.core.naive import NaiveGenerator
-from repro.core.queries import Query, query_labels
+from repro.core.queries import Query
 from repro.core.ssg import SSGGenerator
 
 GENERATORS = {"naive": NaiveGenerator, "mfs": MFSGenerator, "ssg": SSGGenerator}
@@ -87,15 +89,15 @@ class QueryPipeline:
             raise ValueError(
                 "termination pruning (§5.3) requires a >=-only workload"
             )
-        self.labels = tuple(sorted(query_labels(queries)))
         self.engine = CNFEvalE(queries)
         self.codec = ObjSetCodec()
         self.label_of: dict[int, str] = {}
-        # One bitmask per label of ``labels``: an object's codec bit is
-        # set in its class's mask when the codec assigns the bit, and
-        # cleared when the codec releases it.
-        self._class_index = {label: i for i, label in enumerate(self.labels)}
-        self._class_masks = [0] * len(self.labels)
+        # One bitmask per label of ``engine.labels``: an object's codec
+        # bit is set in its class's mask when the codec assigns the bit,
+        # and cleared when the codec releases it.
+        labels = self.engine.labels
+        self._class_index = {label: i for i, label in enumerate(labels)}
+        self._class_masks = [0] * len(labels)
         # count vector -> qids; mask -> (n, rows, qids, objset), the rows
         # of a result state at live count n; mask -> admitted
         self._counts_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -114,7 +116,7 @@ class QueryPipeline:
         qids = self._counts_cache.get(counts)
         if qids is None:
             self.stats.evaluations += 1
-            hit = self.engine.evaluate(dict(zip(self.labels, counts)))
+            hit = self.engine.evaluate(counts)
             qids = self._counts_cache[counts] = tuple(sorted(hit))
         return qids
 

@@ -55,30 +55,15 @@ class Query:
             any(c.holds(counts.get(c.label, 0)) for c in disj) for disj in self.cnf
         )
 
-    def labels(self) -> set[str]:
-        return {c.label for disj in self.cnf for c in disj}
-
     def is_geq_only(self) -> bool:
         """Eligible for the §5.3 termination pruning (Proposition 1)."""
         return all(c.op == ">=" for disj in self.cnf for c in disj)
-
-
-def query_labels(queries: list[Query]) -> set[str]:
-    """Union of labels referenced by any query; objects of other
-    classes are dropped before MCOS generation (paper §3)."""
-    out: set[str] = set()
-    for q in queries:
-        out |= q.labels()
-    return out
 
 
 def random_cnf_queries(
     n_queries: int,
     *,
     labels: tuple[str, ...] = LABELS,
-    ops: tuple[str, ...] = OPS,
-    max_disj: int = 3,
-    max_cond: int = 2,
     n_lo: int = 1,
     n_hi: int = 4,
     seed: int = 0,
@@ -89,10 +74,10 @@ def random_cnf_queries(
     for qid in range(n_queries):
         cnf = tuple(
             tuple(
-                Condition(rng.choice(labels), rng.choice(ops), rng.randint(n_lo, n_hi))
-                for _ in range(rng.randint(1, max_cond))
+                Condition(rng.choice(labels), rng.choice(OPS), rng.randint(n_lo, n_hi))
+                for _ in range(rng.randint(1, 2))
             )
-            for _ in range(rng.randint(1, max_disj))
+            for _ in range(rng.randint(1, 3))
         )
         queries.append(Query(qid, cnf))
     return queries
@@ -103,9 +88,6 @@ def geq_only_queries(
     *,
     n_min: int = 1,
     labels: tuple[str, ...] = LABELS,
-    max_disj: int = 2,
-    max_cond: int = 2,
-    spread: int = 2,
     seed: int = 0,
 ) -> list[Query]:
     """100 ``>=``-only queries whose minimum threshold is exactly
@@ -115,12 +97,10 @@ def geq_only_queries(
     for qid in range(n_queries):
         cnf = tuple(
             tuple(
-                Condition(
-                    rng.choice(labels), ">=", rng.randint(n_min, n_min + spread)
-                )
-                for _ in range(rng.randint(1, max_cond))
+                Condition(rng.choice(labels), ">=", rng.randint(n_min, n_min + 2))
+                for _ in range(rng.randint(1, 2))
             )
-            for _ in range(rng.randint(1, max_disj))
+            for _ in range(rng.randint(1, 2))
         )
         queries.append(Query(qid, cnf))
     # Pin the global minimum to exactly n_min on the first query.

@@ -110,9 +110,9 @@ class Tracker:
 def run_pipeline(
     scene: Scene | Iterable[tuple[int, list[GTObject]]],
     *,
-    detector: Detector | None = None,
-    tracker: Tracker | None = None,
-    camera: str = "cam0",
+    detector: Detector,
+    tracker: Tracker,
+    camera: str,
 ) -> pd.DataFrame:
     """Scene -> detector -> tracker -> VR relation.
 
@@ -120,8 +120,6 @@ def run_pipeline(
     schema ``(camera, fid, oid, cls)``.  Every frame is represented; a
     frame with no surviving detections simply contributes no rows.
     """
-    detector = detector or Detector()
-    tracker = tracker or Tracker()
     rows: list[tuple[str, int, int, str]] = []
     for fid, objects in scene:
         for _, tid, label in tracker.update(fid, detector.detect(objects)):

@@ -18,9 +18,14 @@ from repro.core.queries import (
     Condition,
     Query,
     geq_only_queries,
-    query_labels,
     random_cnf_queries,
 )
+
+
+def evaluate(ev: CNFEvalE, counts: dict[str, int]) -> set[int]:
+    """``ev.evaluate`` on ``counts`` laid out in ``ev.labels`` order; a
+    label absent from ``counts`` counts 0, as in ``Query.holds``."""
+    return ev.evaluate([counts.get(label, 0) for label in ev.labels])
 
 
 # ----------------------------------------------------------------------
@@ -37,19 +42,31 @@ def test_paper_q2_inequality_query():
         ),
     )
     ev = CNFEvalE([q2])
-    assert ev.evaluate({"car": 3, "person": 0}) == {2}
-    assert ev.evaluate({"car": 2, "person": 2}) == {2}
-    assert ev.evaluate({"car": 6, "person": 2}) == set()  # car<=5 fails
-    assert ev.evaluate({"car": 1, "person": 4}) == set()  # first disj fails
-    assert ev.evaluate({"car": 0, "person": 2}) == {2}
-    assert ev.evaluate({"car": 0, "person": 5}) == set()
+    assert ev.labels == ("car", "person")
+    assert ev.evaluate((3, 0)) == {2}
+    assert ev.evaluate((2, 2)) == {2}
+    assert ev.evaluate((6, 2)) == set()  # car<=5 fails
+    assert ev.evaluate((1, 4)) == set()  # first disj fails
+    assert ev.evaluate((0, 2)) == {2}
+    assert ev.evaluate((0, 5)) == set()
 
 
 def test_duplicate_qid_rejected():
     q = Query(3, ((Condition("car", ">=", 1),),))
+    with pytest.raises(ValueError, match="duplicate qid 3"):
+        CNFEvalE([q, q])
+
+
+def test_count_vector_length_checked():
+    """A vector must give exactly one count per label: a short one would
+    leave labels unevaluated, a long one would be read out of place."""
+    q = Query(0, ((Condition("car", ">=", 1), Condition("person", "<=", 2)),))
     ev = CNFEvalE([q])
-    with pytest.raises(ValueError):
-        ev.add(q)
+    assert ev.labels == ("car", "person")
+    assert ev.evaluate((0, 2)) == {0}
+    for counts in ((0,), (0, 2, 1), ()):
+        with pytest.raises(ValueError):
+            ev.evaluate(counts)
 
 
 # ----------------------------------------------------------------------
@@ -62,12 +79,11 @@ def test_cnfevale_random_differential(seed):
     rng = random.Random(seed)
     queries = random_cnf_queries(25, seed=seed, n_hi=6)
     negative = [Query(-2 - q.qid, q.cnf) for q in queries]
-    labels = query_labels(queries)
     for qs in (queries, negative):
         ev = CNFEvalE(qs)
         for _ in range(60):
-            counts = {label: rng.randint(0, 7) for label in labels}
-            assert ev.evaluate(counts) == {q.qid for q in qs if q.holds(counts)}
+            counts = {label: rng.randint(0, 7) for label in ev.labels}
+            assert evaluate(ev, counts) == {q.qid for q in qs if q.holds(counts)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,9 +93,8 @@ def test_cnfevale_random_differential(seed):
 )
 def test_cnfevale_hypothesis(seed, counts):
     queries = random_cnf_queries(12, seed=seed, n_hi=8)
-    full = {label: counts.get(label, 0) for label in query_labels(queries)}
     ev = CNFEvalE(queries)
-    assert ev.evaluate(full) == {q.qid for q in queries if q.holds(full)}
+    assert evaluate(ev, counts) == {q.qid for q in queries if q.holds(counts)}
 
 
 # ----------------------------------------------------------------------

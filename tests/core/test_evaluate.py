@@ -207,10 +207,11 @@ def record_evaluations(pipe) -> list[tuple]:
     """Wrap ``pipe.engine.evaluate``; returns the list it appends each
     call's counts to, as sorted ``(label, count)`` tuples."""
     calls = []
-    evaluate = pipe.engine.evaluate
+    engine = pipe.engine
+    evaluate = engine.evaluate
 
     def recording(counts):
-        calls.append(tuple(sorted(counts.items())))
+        calls.append(tuple(zip(engine.labels, counts, strict=True)))
         return evaluate(counts)
 
     pipe.engine.evaluate = recording

@@ -132,7 +132,7 @@ def test_run_pipeline_schema_and_order():
             class_mix=(("car", 0.7), ("person", 0.3)), occl_rate=0.1, seed=3,
         )
     )
-    vr = run_pipeline(scene, camera="c9")
+    vr = run_pipeline(scene, detector=Detector(), tracker=Tracker(), camera="c9")
     assert list(vr.columns) == ["camera", "fid", "oid", "cls"]
     assert (vr["camera"] == "c9").all()
     assert vr["fid"].is_monotonic_increasing
@@ -148,7 +148,7 @@ def test_pipeline_occlusion_produces_gaps():
             class_mix=MIX, occl_rate=0.15, occl_len_mean=4.0, seed=4,
         )
     )
-    vr = run_pipeline(scene)
+    vr = run_pipeline(scene, detector=Detector(), tracker=Tracker(), camera="cam0")
     gaps = vr.sort_values("fid").groupby("oid")["fid"].apply(
         lambda s: int((s.diff() > 1).sum())
     )

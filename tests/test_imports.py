@@ -22,6 +22,7 @@ TEST_ONLY = {"duckdb", "pytest", "hypothesis"}
 # (stream drivers and oracle helpers) or are gone.
 TEST_ONLY_NAMES = {
     "evaluate_stream", "mcos_stream", "satisfied_states", "validity_threshold", "n_spawned",
+    "query_labels",
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
