@@ -33,6 +33,7 @@ from typing import Callable
 from repro.core.evaluate import METHODS, QueryPipeline, advance_frame, make_generator
 from repro.core.model import ObjSetCodec
 from repro.core.queries import Query, geq_only_queries, random_cnf_queries
+from repro.detect_track.tracker import frames_by_fid
 from repro.videogen.datasets import DATASETS, PAPER_TABLE6, build_vr, make_vr, vr_stats
 
 DATASET_ORDER = ("V1", "V2", "D1", "D2", "M1", "M2")
@@ -82,9 +83,7 @@ def labeled_stream(name: str, p_o: int = 0, n_frames: int | None = None):
     """``[(fid, ((oid, cls), ...)), ...]`` for a dataset profile (cached)."""
     n = n_frames if n_frames is not None else dataset_frames(name)
     vr = build_vr(name, p_o=p_o, n_frames=n)
-    by_fid: dict[int, list[tuple[int, str]]] = {}
-    for fid, oid, cls in zip(vr["fid"].tolist(), vr["oid"].tolist(), vr["cls"].tolist()):
-        by_fid.setdefault(fid, []).append((oid, cls))
+    by_fid = frames_by_fid([vr])
     return tuple((fid, tuple(by_fid.get(fid, ()))) for fid in range(n))
 
 

@@ -1,13 +1,14 @@
 """Marked Frame Set (MFS) approach to MCOS generation (paper §4.2).
 
 This module also holds the update step that NAIVE, MFS and SSG all
-run (one memory-based framework, §6.2): expire; enumerate the
-generator states grouped by their intersection with the arriving
-frame; over that map append, propagate marks, or create and admit;
-then the arriving frame's own (principal) state.  The methods differ
-along two axes only: *enumeration* (MFS and NAIVE scan every state,
-SSG traverses its graph) and *validity* (MFS and SSG drop a state when
-its newest mark expires; NAIVE never reads the marks it keeps).
+run (one memory-based framework, §6.2): expire; group the generator
+states by their intersection with the arriving frame; over that map
+append, propagate marks, or create and admit; then the arriving
+frame's own (principal) state.  The methods differ along two axes
+only: *enumeration* of the states that the previous frame's groups do
+not cover (MFS and NAIVE scan every state, SSG traverses its graph)
+and *validity* (MFS and SSG drop a state when its newest mark expires;
+NAIVE never reads the marks it keeps).
 
 Expiry and result collection touch only the states they concern.
 Every stored state is filed under its *death key* (``_key``: newest
@@ -19,30 +20,34 @@ The update step writes Result State Set (§4.3.7) membership: a stored
 state joins when an append or a creation brings it to ``d`` live
 frames, and leaves when it is dropped or when ``result_sizes``, the
 one filter (the paper's revalidation), finds it below ``d`` live
-frames; ``results`` lists the members' frames.  Enumeration costs
-one ``&`` and one group probe per state it meets: frames are trimmed
-lazily, only where the update step reads them (an append target, the
-merged frames of a new state, and the principal state), so other
-states keep up to ``w`` expired frames and read accessors take ``lo``.
+frames; ``results`` lists the members' frames.  Enumeration costs at
+most two ``&`` and one group probe per state it meets: frames are
+trimmed lazily, only where the update step reads them (an append
+target, the merged frames of a new state, and the principal state),
+so other states keep up to ``w`` expired frames and read accessors
+take ``lo``.
 
-A *derived frame* — one whose previous non-empty frame ``p`` is
-still in the window, and whose entering objects (those not in ``p``)
-were all last seen before the window — skips enumeration.  No stored
-state holds an entering object, so each meets the frame as its group
-key at ``p`` does: ``p``'s keys stand in for their generators.  A key
-inside the frame is appended to; the others are grouped by what they
-keep of the frame and go through the usual append/propagate/create
-step (DESIGN.md §5, "Derived frames").  All three methods take it; it
-counts in ``stats["derived"]`` (and in ``stats["repeated"]`` when the
-frame repeats ``p``'s object set) and adds nothing to
-``stats["visits"]``.
+Every non-empty frame is *derived* from the previous non-empty frame
+``p``.  Its *re-entering* bits ``R`` are the entering objects (absent
+from ``p``) last seen inside the window (``_left``); no stored state
+holds any other entering object.  A stored state without an ``R`` bit
+meets the frame as its group key at ``p`` does, so ``p``'s keys stand
+in for it: a key inside the frame is appended to, the others are
+grouped by what they keep of the frame.  Only when ``R`` is not empty
+does the enumeration run, and it groups only the states that hold an
+``R`` bit.  A group that holds an ``R`` bit has only such members and
+a group without one has none, so the two sources never share a group
+(DESIGN.md §5, "Derived frames").  A frame with ``R`` empty and ``p``
+in the window counts in ``stats["derived"]`` (and in
+``stats["repeated"]`` when it repeats ``p``'s object set) and adds
+nothing to ``stats["visits"]``.
 
-Like NAIVE, MFS intersects every stored state with each arriving
-frame; unlike NAIVE, every state carries a *Marked Frame Set* whose
-marks form a Key Frame Set (Definition 4, Theorem 1).  A state becomes
-invalid — and is removed immediately — the moment its last marked
-frame expires, so invalid states are neither re-intersected against
-future frames nor filtered at result time.
+Like NAIVE, MFS scans every stored state when it enumerates; unlike
+NAIVE, every state carries a *Marked Frame Set* whose marks form a Key
+Frame Set (Definition 4, Theorem 1).  A state becomes invalid — and is
+removed immediately — the moment its last marked frame expires, so
+invalid states are neither re-intersected against future frames nor
+filtered at result time.
 
 Frame Marking Rules implemented here (paper §4.2.3, disambiguated per
 DESIGN.md):
@@ -84,8 +89,9 @@ class MFSGenerator:
         # query are never maintained.
         self.admit = admit
         # Enumeration cost (states scanned, or graph nodes visited),
-        # frames served without enumeration (derived) and those of them
-        # that repeat the previous object set, states dropped, bucket
+        # frames that enumerate nothing though the previous non-empty
+        # frame is in the window (derived) and those of them that
+        # repeat the previous object set, states dropped, bucket
         # entries moved to a later key, and SSG's forest edges added and
         # nodes re-parented (none for the scan methods).
         self.stats = dict.fromkeys(
@@ -105,16 +111,11 @@ class MFSGenerator:
 
     def advance(self, fid: int, objs_mask: int) -> None:
         """Process one arriving frame (fids strictly increasing) with the
-        update step all methods share.
-
-        A derived frame (the previous non-empty frame ``p`` is in the
-        window, and no stored state holds an object that enters at this
-        frame) skips ``_generators``: every stored state meets the frame
-        as its group key at ``p`` does, so ``p``'s keys stand in for
-        their generators.  A key inside the frame is appended to in
-        place; the others are grouped by their cut ``key & objs_mask``,
-        and those groups go through the append/propagate/create step of
-        an enumerated frame (DESIGN.md §5, "Derived frames")."""
+        update step all methods share: enumerate the states that hold a
+        re-entering bit, if the frame has one; append to the previous
+        non-empty frame's keys inside the frame and group the others by
+        their cut ``key & objs_mask``; then append, propagate or create
+        over every group (DESIGN.md §5, "Derived frames")."""
         lo = fid - self.w + 1
         d = self.d
         self._expire(lo)
@@ -124,40 +125,42 @@ class MFSGenerator:
             return
         states = self.states
         admit = self.admit
-        last_mask, _, last_keys = self._last
-        keys: list[int] = []
-        if self._is_derived(lo, objs_mask):
-            self.stats["derived"] += 1
-            self.stats["repeated"] += objs_mask == last_mask
-            gens: dict[int, list[State]] = {}
-            for key in last_keys:
-                ex = states.get(key)
-                if ex is None:
-                    continue
-                inter = key & objs_mask
-                if inter == key:
-                    fr = ex.frames
-                    if fr[0] < lo:
-                        del fr[: bisect_left(fr, lo)]
-                    fr.append(fid)
-                    if len(fr) >= d:
-                        sr[key] = ex
-                    keys.append(key)
-                elif inter:
-                    bucket = gens.get(inter)
-                    if bucket is None:
-                        gens[inter] = [ex]
-                    else:
-                        bucket.append(ex)
+        last_mask, last_fid, last_keys = self._last
+        reentering = self._reentering(lo, objs_mask)
+        if reentering:
+            gens = self._generators(objs_mask, reentering)
         else:
-            gens = self._generators(lo, objs_mask)
+            gens = {}
+            if last_mask and last_fid >= lo:
+                self.stats["derived"] += 1
+                self.stats["repeated"] += objs_mask == last_mask
+        keys: list[int] = []
+        for key in last_keys:
+            ex = states.get(key)
+            if ex is None:
+                continue
+            inter = key & objs_mask
+            if inter == key:
+                fr = ex.frames
+                if fr[0] < lo:
+                    del fr[: bisect_left(fr, lo)]
+                fr.append(fid)
+                if len(fr) >= d:
+                    sr[key] = ex
+                keys.append(key)
+            elif inter:
+                bucket = gens.get(inter)
+                if bucket is None:
+                    gens[inter] = [ex]
+                else:
+                    bucket.append(ex)
         for inter, glist in gens.items():
             ex = states.get(inter)
             if ex is not None:
                 # Append case: ``inter == ex.objset`` and ``ex.objset ⊆
                 # objs_mask``.  Its length is read next, so its frames are
-                # trimmed here.  A derived frame's key inside the frame
-                # has ``fid`` already.
+                # trimmed here.  A key of ``p`` inside the frame has
+                # ``fid`` already.
                 fr = ex.frames
                 if fr[-1] != fid:
                     if fr[0] < lo:
@@ -192,29 +195,27 @@ class MFSGenerator:
             keys.append(objs_mask)
         self._last = (objs_mask, fid, keys)
 
-    def _is_derived(self, lo: int, objs_mask: int) -> bool:
+    def _reentering(self, lo: int, objs_mask: int) -> int:
         """Record in ``_left`` the bits that left since the previous
-        non-empty frame ``p``; then whether ``p`` is in the window and
-        every bit entering now was last seen before it, so that no
-        stored state holds one."""
+        non-empty frame ``p``; then return the bits entering now (not in
+        ``p``) that were last seen inside the window: the only entering
+        bits a stored state can hold."""
         last_mask, last_fid, _ = self._last
-        if not last_mask:
-            return False
         left = self._left
         gone = last_mask & ~objs_mask
         while gone:
             low = gone & -gone
             left[low.bit_length() - 1] = last_fid
             gone ^= low
-        if last_fid < lo:
-            return False
+        # Every entry is at most ``p``: none is in the window if ``p`` is not.
+        out = 0
         new = objs_mask & ~last_mask
         while new:
             low = new & -new
             if left.get(low.bit_length() - 1, lo - 1) >= lo:
-                return False
+                out |= low
             new ^= low
-        return True
+        return out
 
     def _key(self, st: State) -> int:
         """Death key: the state is dropped once this fid expires."""
@@ -248,14 +249,15 @@ class MFSGenerator:
         del self.states[st.objset]
         self._sr.pop(st.objset, None)
 
-    def _generators(self, lo: int, objs_mask: int) -> dict[int, list[State]]:
-        """Scan: intersect every stored state with the frame, grouping
-        the generator states by their intersection."""
+    def _generators(self, objs_mask: int, probe: int) -> dict[int, list[State]]:
+        """Scan: meet every stored state, grouping those that hold a bit
+        of ``probe`` by their intersection with the frame."""
         gens: dict[int, list[State]] = {}
         states = self.states
         for st in states.values():
-            inter = st.objset & objs_mask
-            if inter:
+            objset = st.objset
+            if objset & probe:
+                inter = objset & objs_mask
                 bucket = gens.get(inter)
                 if bucket is None:
                     gens[inter] = [st]
@@ -306,7 +308,7 @@ class MFSGenerator:
             assert lo <= key <= self._key(st), f"key {key} outside [lo, death key]"
             # What bounds ``_expire``: every key is a fid of the window.
             assert key < lo + w, f"key {key} beyond the window's newest fid"
-        # What a derived frame relies on: a stored state meets the last
+        # What the update step relies on: a stored state meets the last
         # non-empty frame in a listed key, unless ``admit`` refused it.
         last_mask, _, keys = self._last
         listed = set(keys)

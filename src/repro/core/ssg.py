@@ -7,16 +7,18 @@ a subset state, with:
 - **Property 2**: no child of a node subsumes a sibling.
 
 The State Traversal (ST, Algorithm 1) visits the forest from its roots
-(the parentless states) for every arriving frame and *stops
-descending* whenever a state's intersection with the arriving object
-set is empty — every descendant's intersection is a subset, so whole
-subtrees are skipped.  That is the pruning that NAIVE and MFS (which
-intersect *every* stored state per frame) cannot do.
+(the parentless states) and *stops descending* at a state that cannot
+lead to a generator — every descendant is a subset, so whole subtrees
+are skipped.  That is the pruning that NAIVE and MFS (which meet
+*every* stored state when they enumerate) cannot do.  The paper stops
+where a state's intersection with the arriving object set is empty;
+here the traversal runs only on a frame with re-entering objects and
+stops at a state that holds none of them (below).
 
 The paper's graph is a DAG: a state hangs below every state that
 generated it and every later principal state above it.  Here a state
 has at most one parent.  By Property 1 any superset chain up to a root
-reaches a node whenever its own intersection is non-empty, so a second
+reaches a node whenever the node holds a probed bit, so a second
 parent could add visits but never prune one; with one parent a node is
 pushed at most once per frame and needs no visit flag.
 
@@ -28,12 +30,17 @@ buckets and the Result State Set are the shared ones.  See DESIGN.md
 ambiguities resolved:
 
 - Traversal and state update are two phases: the traversal collects,
-  per intersection value, the *generator* states it met (exactly the
-  states whose intersection with the frame is non-empty), then the
+  per intersection value, the *generator* states it met, then the
   shared update step applies the MFS creation/append/marking rules
   over that generator map.  This is behaviourally identical to the
   interleaved Algorithm 1 + CNPS and makes "SSG result == MFS result"
   an exact testable property.
+- The traversal probes the frame's re-entering bits ``R``, not its
+  object set: the previous frame's group keys stand in for every state
+  without an ``R`` bit (:mod:`repro.core.mfs`), so only the states
+  holding one are collected.  By Property 1 a node holding an ``R``
+  bit hangs below nodes that hold it too, so pruning on ``R`` reaches
+  every such node.
 - ``_add_edge`` hangs a parentless node below a superset, keeping
   Property 2: a node subsumed by an existing child goes below that
   child (recursively); existing children subsumed by the node move
@@ -41,9 +48,9 @@ ambiguities resolved:
   below the generator the update step passes; a new principal state
   takes every intersection state of its frame that is still a root
   (CNPS, §4.3.5), in any order, without the descending-cardinality sort.
-  A derived frame (:mod:`repro.core.mfs`) skips the traversal; the
-  generator it passes is a group key of the previous frame standing in
-  for the generators, a superset of the new state all the same.
+  A group without an ``R`` bit passes a group key of the previous
+  frame standing in for its generators, a superset of the new state
+  all the same.
 - The shared expiry removes a state the frame its newest mark expires,
   not when the traversal next meets it (``pruneState``), hanging its
   children below its parent (or promoting them to roots), so the
@@ -142,18 +149,19 @@ class SSGGenerator(MFSGenerator):
                 self._add_edge(node, child)
         return node
 
-    def _generators(self, lo: int, objs_mask: int) -> dict[int, list[SSGNode]]:
-        """ST traversal (Algorithm 1), breadth-first over one list that
-        grows while it is read: in a forest every node is queued at
-        most once per frame."""
+    def _generators(self, objs_mask: int, probe: int) -> dict[int, list[SSGNode]]:
+        """ST traversal (Algorithm 1) on ``probe``, breadth-first over
+        one list that grows while it is read: in a forest every node is
+        queued at most once per frame."""
         gens: dict[int, list[SSGNode]] = {}
         queue = list(self.roots.values())
         push = queue.extend
         get_bucket = gens.get
         for node in queue:
-            inter = node.objset & objs_mask
-            if not inter:
-                continue  # descendants' intersections are subsets: skip
+            objset = node.objset
+            if not objset & probe:
+                continue  # descendants are subsets: none holds a probed bit
+            inter = objset & objs_mask
             bucket = get_bucket(inter)
             if bucket is None:
                 gens[inter] = [node]

@@ -125,3 +125,21 @@ def run_pipeline(
         for _, tid, label in tracker.update(fid, detector.detect(objects)):
             rows.append((camera, fid, tid, label))
     return pd.DataFrame(rows, columns=["camera", "fid", "oid", "cls"])
+
+
+# The ``oid`` of a VR row that only marks its frame as present and
+# empty (the streaming protocol's marker).
+EMPTY_FRAME_OID = -1
+
+
+def frames_by_fid(pdfs: Iterable[pd.DataFrame]) -> dict[int, list[tuple[int, str]]]:
+    """Group VR rows as ``fid -> [(oid, cls), ...]``; an
+    ``EMPTY_FRAME_OID`` marker row gives its frame an empty list."""
+    by_fid: dict[int, list[tuple[int, str]]] = {}
+    for pdf in pdfs:
+        # Column lists hold Python ints, so no per-row conversion is needed.
+        for fid, oid, cls in zip(pdf["fid"].tolist(), pdf["oid"].tolist(), pdf["cls"].tolist()):
+            objs = by_fid.setdefault(fid, [])
+            if oid != EMPTY_FRAME_OID:
+                objs.append((oid, cls))
+    return by_fid

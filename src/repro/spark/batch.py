@@ -23,27 +23,12 @@ from pyspark.sql import DataFrame
 
 from repro.core.evaluate import QueryPipeline
 from repro.core.queries import Query
+from repro.detect_track.tracker import frames_by_fid
 
 RESULT_SCHEMA = (
     "camera string, fid long, qid long, objset string, n_frames long"
 )
 RESULT_COLUMNS = [field.split()[0] for field in RESULT_SCHEMA.split(", ")]
-
-EMPTY_FRAME_OID = -1
-
-
-def frames_by_fid(pdfs: Iterable[pd.DataFrame]) -> dict[int, list[tuple[int, str]]]:
-    """Group VR rows as ``fid -> [(oid, cls), ...]``; an
-    ``EMPTY_FRAME_OID`` marker row gives its frame an empty list."""
-    by_fid: dict[int, list[tuple[int, str]]] = {}
-    for pdf in pdfs:
-        # Column lists hold Python ints, so no per-row conversion is needed.
-        for fid, oid, cls in zip(pdf["fid"].tolist(), pdf["oid"].tolist(), pdf["cls"].tolist()):
-            objs = by_fid.setdefault(fid, [])
-            if oid != EMPTY_FRAME_OID:
-                objs.append((oid, cls))
-    return by_fid
-
 
 def match_rows(
     camera: str, pipe: QueryPipeline, frames: Iterable[tuple[int, list[tuple[int, str]]]]

@@ -16,8 +16,9 @@ Protocol requirements (asserted by the tests):
 
 - every frame of a camera appears in the stream, all its rows in one
   micro-batch; a frame with no detections is one marker row with
-  ``oid = -1`` (:data:`repro.spark.batch.EMPTY_FRAME_OID`).  A fid left
-  out is a gap: it gets no rows, and it cannot be sent later;
+  ``oid = -1`` (:data:`repro.detect_track.tracker.EMPTY_FRAME_OID`).
+  A fid left out is a gap: it gets no rows, and it cannot be sent
+  later;
 - fids arrive in increasing order across micro-batches for a given
   camera.  A fid at or below the last one processed is a replay, and
   skipped, if its rows equal those stored for it as a multiset;
@@ -34,13 +35,8 @@ from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from repro.core.evaluate import QueryPipeline
 from repro.core.queries import Query
-from repro.spark.batch import (
-    EMPTY_FRAME_OID,
-    RESULT_COLUMNS,
-    RESULT_SCHEMA,
-    frames_by_fid,
-    match_rows,
-)
+from repro.detect_track.tracker import EMPTY_FRAME_OID, frames_by_fid
+from repro.spark.batch import RESULT_COLUMNS, RESULT_SCHEMA, match_rows
 
 STATE_SCHEMA = (
     "fid array<long>, oid array<long>, cls array<string>, "

@@ -3,8 +3,8 @@
 Every generator must produce, after every frame, exactly the oracle's
 satisfied valid states (object set -> full supporting frame set).
 Streams cover i.i.d. presence, bursty dwell with occlusions, empty
-frames, gaps in the fids, runs of equal frames, and a hypothesis-driven
-fuzz.  After every frame each generator's expiry filing is checked too.
+frames, gaps in the fids, runs of equal frames, objects that leave
+and come back within the window, and a hypothesis-driven fuzz.  After every frame each generator's expiry filing is checked too.
 """
 from __future__ import annotations
 
@@ -516,7 +516,8 @@ def test_repeated_frame_with_terminated_group(method):
 
 
 # ----------------------------------------------------------------------
-# Derived frames: no stored state holds an object entering the frame
+# Derived frames: the previous frame's keys stand in for every state
+# that holds no re-entering object
 # ----------------------------------------------------------------------
 def derived_stream(w: int, seed: int) -> list[tuple[int, list[int]]]:
     """Short-lived objects, some returning, held for runs of equal
@@ -539,9 +540,11 @@ def derived_stream(w: int, seed: int) -> list[tuple[int, list[int]]]:
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("w,d", [(1, 1), (2, 1), (2, 2), (5, 2), (8, 3)])
 def test_derived_frame_counters(method, seed, w, d):
-    """A non-empty frame is derived iff the previous non-empty frame
-    ``p`` is in the window and every object entering at it (absent from
-    ``p``) is absent from the window's earlier frames too.  A derived
+    """Every frame is updated from the group keys of the previous
+    non-empty frame ``p``.  A non-empty frame counts as derived iff
+    ``p`` is in the window and it has no re-entering object: every
+    object entering at it (absent from ``p``) is absent from the
+    window's earlier frames too, so nothing is enumerated.  A derived
     frame adds 1 to ``derived``, 0 to ``visits``, and 1 to ``repeated``
     iff it repeats ``p``'s object set; any other frame adds 0 to both.
     With w=1 ``p`` has always left the window, so no frame is derived.
@@ -586,7 +589,8 @@ def test_reentering_object_forces_enumeration(method, w, derived):
     """B leaves at frame 1 and comes back at frame 2.  With w=2 its
     only earlier frame, 0, has left the window, so no stored state holds
     B and frame 2 is derived; with w=3 or 4 frame 0 is still in the
-    window, {A, B} is stored, and frame 2 is enumerated."""
+    window and {A, B} is stored, so B re-enters and frame 2 enumerates
+    the states that hold it."""
     _, enc = encode_stream(letters_stream(["AB", "A", "AB"]))
     gen = make_generator(method, w, 1)
     for fid, mask in enc[:2]:
@@ -597,6 +601,104 @@ def test_reentering_object_forces_enumeration(method, w, derived):
     assert gen.stats["derived"] - before["derived"] == derived
     assert (gen.stats["visits"] == before["visits"]) == derived
     assert gen.results() == satisfied_states(enc[max(0, 3 - w) :], 1)
+
+
+def flicker_stream(w: int, seed: int, n_frames: int = 100) -> list[tuple[int, list[int]]]:
+    """Objects that flicker: each stays for 1 to 3 frames, then is gone
+    for 1 to ``w`` frames, so most come back inside the window; one in
+    four leaves for good and a new object takes its turn."""
+    rng = random.Random(seed)
+    due = {oid: rng.randrange(3) for oid in range(9)}  # oid -> fid of its next change
+    present: set[int] = set()
+    next_oid = len(due)
+    stream = []
+    for fid in range(n_frames):
+        for oid, at in list(due.items()):
+            if at > fid:
+                continue
+            if oid in present:
+                present.discard(oid)
+                if rng.random() < 0.25:
+                    del due[oid]
+                    oid, next_oid = next_oid, next_oid + 1
+                due[oid] = fid + rng.randint(1, w)
+            else:
+                present.add(oid)
+                due[oid] = fid + rng.randint(1, 3)
+        stream.append((fid, sorted(present)))
+    return stream
+
+
+def st_walk(gen, probe: int) -> int:
+    """The forest nodes an ST traversal pruning on ``probe`` meets: those
+    whose every ancestor holds a bit of ``probe`` (the roots among them)."""
+
+    def reached(node) -> bool:
+        up = node.parent
+        while up is not None:
+            if not up.objset & probe:
+                return False
+            up = up.parent
+        return True
+
+    return sum(map(reached, gen.states.values()))
+
+
+@pytest.mark.parametrize("prune", [False, True], ids=["unpruned", "pruned"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("w,d", [(4, 1), (5, 2), (8, 3), (12, 4)])
+def test_flicker_enumerates_only_reentering_states(method, prune, seed, w, d):
+    """Objects leave and come back within ``w`` frames.  A frame's
+    re-entering objects ``R`` are those absent from the previous
+    non-empty frame ``p`` and present in an earlier frame of the window.
+    After every frame the invariants hold and the results equal the
+    oracle's (over the admitted object sets when pruned).  The
+    enumeration runs iff ``R`` is not empty; it adds to ``visits`` the
+    stored state count (NAIVE, MFS) or exactly the roots plus the nodes
+    reached through nodes that hold a bit of ``R`` (SSG), counted by a
+    brute walk when the enumeration starts, after expiry."""
+    stream = flicker_stream(w, seed)
+    codec, enc = encode_stream(stream)
+    admit = (lambda mask: bool(pairs_qids(codec.decode(mask)))) if prune else None
+    gen = make_generator(method, w, d, admit)
+    enumerate_states = gen._generators
+    expected: list[int] = []
+    n_reentering = n_pruned = 0
+
+    def watched(objs_mask: int, probe: int):
+        nonlocal n_pruned
+        if method == "ssg":
+            expected.append(st_walk(gen, reentering))
+            n_pruned += expected[-1] < st_walk(gen, objs_mask)
+        else:
+            expected.append(gen.n_states())
+        return enumerate_states(objs_mask, probe)
+
+    gen._generators = watched
+    window: list[tuple[int, int]] = []
+    last = 0  # the previous non-empty frame's mask
+    for fid, mask in enc:
+        window = [(f, m) for f, m in window if f > fid - w]
+        held = 0
+        for _, m in window:
+            held |= m
+        reentering = mask & ~last & held
+        before, n_enumerated = gen.stats["visits"], len(expected)
+        gen.advance(fid, mask)
+        gen.check_invariants()
+        window.append((fid, mask))
+        assert len(expected) - n_enumerated == bool(reentering), f"fid={fid}"
+        assert gen.stats["visits"] - before == (expected[-1] if reentering else 0), f"fid={fid}"
+        want = satisfied_states(window, d)
+        if prune:
+            want = {x: fr for x, fr in want.items() if admit(x)}
+        assert gen.results() == want, f"fid={fid}"
+        n_reentering += bool(reentering)
+        if mask:
+            last = mask
+    assert n_reentering and gen.stats["derived"], "weak test"
+    assert method != "ssg" or n_pruned, "weak test: the probe on R prunes no more than on O_i"
 
 
 @pytest.mark.parametrize("method", METHODS)

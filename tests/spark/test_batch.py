@@ -5,7 +5,8 @@ import pandas as pd
 import pytest
 
 from repro.core.queries import Condition, Query, geq_only_queries, random_cnf_queries
-from repro.spark.batch import EMPTY_FRAME_OID, _frames_of_group, evaluate_queries_batch, frames_by_fid
+from repro.detect_track.tracker import EMPTY_FRAME_OID, frames_by_fid
+from repro.spark.batch import _frames_of_group, evaluate_queries_batch
 from repro.spark.relation import vr_to_spark
 from repro.spark.streaming import with_empty_frame_markers
 from tests.core.util import evaluate_stream, mcos_stream

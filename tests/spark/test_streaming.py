@@ -17,14 +17,8 @@ import pytest
 
 from repro.core.evaluate import QueryPipeline
 from repro.core.queries import Condition, Query, geq_only_queries, random_cnf_queries
-from repro.spark.batch import (
-    EMPTY_FRAME_OID,
-    RESULT_COLUMNS,
-    _frames_of_group,
-    evaluate_queries_batch,
-    frames_by_fid,
-    match_rows,
-)
+from repro.detect_track.tracker import EMPTY_FRAME_OID, frames_by_fid
+from repro.spark.batch import RESULT_COLUMNS, _frames_of_group, evaluate_queries_batch, match_rows
 from repro.spark.relation import VR_SCHEMA, vr_to_spark
 from repro.spark.streaming import (
     _make_update_fn,
