@@ -93,7 +93,8 @@ class MFSGenerator:
         # frame is in the window (derived) and those of them that
         # repeat the previous object set, states dropped, bucket
         # entries moved to a later key, and SSG's forest edges added and
-        # nodes re-parented (none for the scan methods).
+        # children re-hung when their parent is dropped (none for the
+        # scan methods).
         self.stats = dict.fromkeys(
             ("visits", "derived", "repeated", "expired", "refiled", "edges", "reparented"), 0
         )

@@ -1,10 +1,8 @@
 """Strict State Graph (SSG) approach to MCOS generation (paper §4.3).
 
 States are nodes of a forest whose edges run from a superset state to
-a subset state, with:
-
-- **Property 1**: every edge ``(p, c)`` has ``ID_c ⊂ ID_p``;
-- **Property 2**: no child of a node subsumes a sibling.
+a subset state (**Property 1**: every edge ``(p, c)`` has
+``ID_c ⊂ ID_p``).
 
 The State Traversal (ST, Algorithm 1) visits the forest from its roots
 (the parentless states) and *stops descending* at a state that cannot
@@ -26,8 +24,8 @@ SSG runs the MFS update step (:mod:`repro.core.mfs`) and differs from
 MFS in enumeration only: it overrides ``_generators`` (ST traversal),
 ``_create`` (forest edges, CNPS) and ``_drop`` (node removal); expiry
 buckets and the Result State Set are the shared ones.  See DESIGN.md
-§5 for the mapping to the paper's pseudocode, this deviation, and the
-ambiguities resolved:
+§5 for the mapping to the paper's pseudocode, these deviations, and
+the ambiguities resolved:
 
 - Traversal and state update are two phases: the traversal collects,
   per intersection value, the *generator* states it met, then the
@@ -39,22 +37,21 @@ ambiguities resolved:
   object set: the previous frame's group keys stand in for every state
   without an ``R`` bit (:mod:`repro.core.mfs`), so only the states
   holding one are collected.  By Property 1 a node holding an ``R``
-  bit hangs below nodes that hold it too, so pruning on ``R`` reaches
-  every such node.
-- ``_add_edge`` hangs a parentless node below a superset, keeping
-  Property 2: a node subsumed by an existing child goes below that
-  child (recursively); existing children subsumed by the node move
-  below it (§4.3.4 "Modifying Existing Edges").  A new state hangs
-  below the generator the update step passes; a new principal state
-  takes every intersection state of its frame that is still a root
-  (CNPS, §4.3.5), in any order, without the descending-cardinality sort.
-  A group without an ``R`` bit passes a group key of the previous
-  frame standing in for its generators, a superset of the new state
-  all the same.
+  bit hangs only below nodes that hold it too, so pruning on ``R``
+  reaches every such node.
+- The forest keeps Property 1 only.  The paper's Property 2 (no child
+  subsumes a sibling) and the edge moves that keep it (§4.3.4
+  "Modifying Existing Edges") add nothing the traversal's exactness
+  needs, so ``_add_edge`` appends: a new state hangs below the
+  generator the update step passes (for a group without an ``R`` bit,
+  the previous frame's group key standing in for its generators, a
+  superset all the same), and a new principal state takes every
+  intersection state of its frame that is still a root (CNPS, §4.3.5),
+  in any order, without the descending-cardinality sort.
 - The shared expiry removes a state the frame its newest mark expires,
   not when the traversal next meets it (``pruneState``), hanging its
-  children below its parent (or promoting them to roots), so the
-  traversal meets only valid nodes.
+  children below its parent as they are (or promoting them to roots),
+  so the traversal meets only valid nodes.
 """
 from __future__ import annotations
 
@@ -94,25 +91,10 @@ class SSGGenerator(MFSGenerator):
         self.roots: dict[int, SSGNode] = {}  # objset -> parentless node
 
     def _add_edge(self, p: SSGNode, c: SSGNode) -> None:
-        """Hang the parentless ``c ⊂ p`` below ``p`` or a descendant,
-        preserving Properties 1 and 2."""
-        cm = c.objset
-        for c2 in p.children:
-            if cm & c2.objset == cm:
-                # c subsumed by an existing child: place it deeper.
-                self._add_edge(c2, c)
-                return
-        moved = [c2 for c2 in p.children if c2.objset & cm == c2.objset]
-        if moved:
-            # existing children subsumed by c: move them below c (§4.3.4).
-            p.children = [c2 for c2 in p.children if c2.objset & cm != c2.objset]
-            for c2 in moved:
-                c2.parent = None
-                self._add_edge(c, c2)
-            self.stats["reparented"] += len(moved)
+        """Hang the parentless ``c ⊂ p`` below ``p``."""
         p.children.append(c)
         c.parent = p
-        self.roots.pop(cm, None)
+        self.roots.pop(c.objset, None)
         self.stats["edges"] += 1
 
     def _drop(self, node: SSGNode) -> None:
@@ -123,8 +105,8 @@ class SSGGenerator(MFSGenerator):
         if p is not None:
             p.children.remove(node)
         for c in node.children:
-            c.parent = None
             if p is None:
+                c.parent = None
                 self.roots[c.objset] = c
             else:
                 self._add_edge(p, c)
@@ -182,15 +164,18 @@ class SSGGenerator(MFSGenerator):
                     "Property 1 violated"
                 )
                 assert c.parent is node, "child's parent is another node"
-            kids = list(node.children)
-            for i, a in enumerate(kids):
-                for b in kids[i + 1 :]:
-                    ab = a.objset & b.objset
-                    assert ab != a.objset and ab != b.objset, "Property 2 violated"
             if node.parent is None:
                 assert self.roots.get(node.objset) is node, "parentless node not a root"
-            else:
-                n_in_parent = sum(c is node for c in node.parent.children)
-                assert n_in_parent == 1, f"node {n_in_parent} times in its parent's children"
         for mask, node in self.roots.items():
             assert self.states.get(mask) is node and node.parent is None, "root has a parent"
+        # The ST traversal starts at the roots and descends along
+        # children: the walk must meet every stored state, each once.
+        # With the checks above this makes every node one child of its
+        # parent, or a root.
+        walk = list(self.roots.values())
+        for node in walk:
+            walk.extend(node.children)
+            assert len(walk) <= len(self.states), "the walk meets more nodes than are stored"
+        assert set(map(id, walk)) == set(map(id, self.states.values())), (
+            "a stored state is unreachable from the roots"
+        )

@@ -5,37 +5,24 @@ import pytest
 
 from repro.core.mfs import MFSGenerator
 from repro.core.ssg import SSGGenerator
-from tests.core.util import bursty_stream, encode_stream, letters_stream, random_stream
+from tests.core.util import bursty_stream, encode_stream, letters_stream
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("w,d", [(6, 3), (10, 5)])
 def test_graph_invariants_every_frame(seed, w, d):
-    """Properties 1 and 2, one parent per node (a forest), root registration."""
+    """Property 1, one parent per node (a forest), root registration and
+    reachability of every state from the roots.  Edges are only
+    appended, so a node is re-parented only when its parent is dropped:
+    ``reparented`` grows only on a frame where ``expired`` does."""
     _, enc = encode_stream(bursty_stream(50, n_objects=9, dwell=7, occl=0.2, seed=seed))
     gen = SSGGenerator(w, d)
     for fid, mask in enc:
+        before = dict(gen.stats)
         gen.advance(fid, mask)
         gen.check_invariants()
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_reachability_from_roots(seed):
-    """Every live state must be reachable from the root set, otherwise
-    it would be skipped forever by the ST traversal."""
-    _, enc = encode_stream(random_stream(40, n_objects=7, p_present=0.5, seed=seed))
-    gen = SSGGenerator(7, 3)
-    for fid, mask in enc:
-        gen.advance(fid, mask)
-        seen = set()
-        stack = list(gen.roots.values())
-        while stack:
-            n = stack.pop()
-            if id(n) in seen:
-                continue
-            seen.add(id(n))
-            stack.extend(n.children)
-        assert len(seen) == len(gen.states), f"unreachable states at fid={fid}"
+        if gen.stats["reparented"] > before["reparented"]:
+            assert gen.stats["expired"] > before["expired"], f"fid={fid}"
 
 
 def _edges(gen: SSGGenerator) -> list[tuple[int, list[int]]]:
