@@ -19,4 +19,3 @@ enumeration (scan every state, or ST traversal for SSG) and validity
 (drop a state when its newest mark expires, or, for NAIVE, keep the
 marks unread and filter at result time).
 """
-from repro.core.model import ObjSetCodec, State  # noqa: F401

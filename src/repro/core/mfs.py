@@ -22,10 +22,17 @@ frames, and leaves when it is dropped or when ``result_sizes``, the
 one filter (the paper's revalidation), finds it below ``d`` live
 frames; ``results`` lists the members' frames.  Enumeration costs at
 most two ``&`` and one group probe per state it meets: frames are
-trimmed lazily, only where the update step reads them (an append
-target, the merged frames of a new state, and the principal state),
-so other states keep up to ``w`` expired frames and read accessors
-take ``lo``.
+trimmed lazily, only where the update step appends to them (a new
+state copies its generator's from ``lo`` on), so other states keep up
+to ``w`` expired frames and read accessors take ``lo``.
+
+A new state takes the live frames of its generator with the fewest
+objects, then the arriving fid, in place of the paper's ``merge()``
+over all its generators.  The store is closed under non-empty
+intersection (under pruning, under admissible intersection), so that
+generator is the group's intersection, lies inside every other one,
+and its complete frame set holds theirs (DESIGN.md §5, "Why a new
+state's frames are complete").
 
 Every non-empty frame is *derived* from the previous non-empty frame
 ``p``.  Its *re-entering* bits ``R`` are the entering objects (absent
@@ -69,7 +76,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Iterable
 
-from repro.core.model import State, merge_sorted_unique
+from repro.core.model import State
 
 
 class MFSGenerator:
@@ -174,9 +181,12 @@ class MFSGenerator:
                 if len(fr) >= d:
                     sr[inter] = ex
             elif admit is None or admit(inter):
-                # Not empty and below ``fid``: a generator's newest frame
-                # is live, and none took ``fid`` (DESIGN.md §5).
-                fr = merge_sorted_unique([g.frames for g in glist], lo)
+                # The generator with the fewest objects is the group's
+                # intersection, so its frames hold every other one's.
+                # They are not empty and below ``fid``: its newest frame
+                # is live, and no generator took ``fid`` (DESIGN.md §5).
+                fr = min(glist, key=lambda g: g.objset.bit_count()).frames
+                fr = fr[bisect_left(fr, lo) :]
                 fr.append(fid)
                 st = self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
                 if len(fr) >= d:
@@ -298,23 +308,3 @@ class MFSGenerator:
 
     def n_states(self) -> int:
         return len(self.states)
-
-    def check_invariants(self) -> None:
-        """Filing invariants, asserted by tests after every frame."""
-        filed = [(key, st) for key, bucket in self._buckets.items() for st in bucket]
-        assert len(filed) == self.n_states(), "entries differ from stored states"
-        assert {id(st) for _, st in filed} == set(map(id, self.states.values())), "filing"
-        lo, w = self._lo, self.w
-        for key, st in filed:
-            assert lo <= key <= self._key(st), f"key {key} outside [lo, death key]"
-            # What bounds ``_expire``: every key is a fid of the window.
-            assert key < lo + w, f"key {key} beyond the window's newest fid"
-        # What the update step relies on: a stored state meets the last
-        # non-empty frame in a listed key, unless ``admit`` refused it.
-        last_mask, _, keys = self._last
-        listed = set(keys)
-        assert len(listed) == len(keys), "a group key listed twice"
-        for mask in self.states:
-            inter = mask & last_mask
-            if inter and (self.admit is None or inter in self.states):
-                assert inter in listed, "a stored state meets the last frame in no listed key"

@@ -132,10 +132,12 @@ class State:
     never change a pruning decision (Theorems 1/4; the differential
     tests assert the newest mark equals the brute-force validity
     threshold).  Mark-set union from the paper's marking rules becomes
-    ``max``.  Frames are trimmed lazily, by the update step where it
-    reads them: when the state is appended to, or merged into a new state.
-    Any other state may still hold expired frames (at most ``w``), so
-    read accessors take the window low bound ``lo``.  The generator
+    ``max``.  ``frames`` is complete: its live frames are every window
+    frame whose object set contains ``objset``.  Frames are trimmed
+    lazily, by the update step when it appends to the state; a new
+    state copies its smallest generator's from ``lo`` on.  Any other
+    state may still hold expired frames (at most ``w``), so read
+    accessors take the window low bound ``lo``.  The generator
     drops the state itself once its death key expires (see
     :mod:`repro.core.mfs`).
     """
@@ -152,22 +154,3 @@ class State:
             return len(fr)
         return len(fr) - bisect_left(fr, lo)
 
-
-def merge_sorted_unique(lists: list[list[int]], lo: int) -> list[int]:
-    """Union of sorted int lists from ``lo`` on, as a new sorted list.
-
-    Frame sets of a generated state are the union over all its
-    generator states (the paper's ``merge``), which keeps ``F_s`` equal
-    to the full set of window frames containing ``ID_s``.  The
-    generators may still hold frames below the window low bound ``lo``;
-    those are left out.
-    """
-    if len(lists) == 1:
-        fr = lists[0]
-        return fr[bisect_left(fr, lo) :]
-    seen: set[int] = set()
-    for li in lists:
-        seen.update(li)
-    fr = sorted(seen)
-    del fr[: bisect_left(fr, lo)]
-    return fr

@@ -153,29 +153,3 @@ class SSGGenerator(MFSGenerator):
                 push(node.children)
         self.stats["visits"] += len(queue)
         return gens
-
-    def check_invariants(self) -> None:
-        """Filing and forest invariants, asserted by tests after every frame."""
-        super().check_invariants()
-        for node in self.states.values():
-            assert self.states.get(node.objset) is node
-            for c in node.children:
-                assert c.objset & node.objset == c.objset and c.objset != node.objset, (
-                    "Property 1 violated"
-                )
-                assert c.parent is node, "child's parent is another node"
-            if node.parent is None:
-                assert self.roots.get(node.objset) is node, "parentless node not a root"
-        for mask, node in self.roots.items():
-            assert self.states.get(mask) is node and node.parent is None, "root has a parent"
-        # The ST traversal starts at the roots and descends along
-        # children: the walk must meet every stored state, each once.
-        # With the checks above this makes every node one child of its
-        # parent, or a root.
-        walk = list(self.roots.values())
-        for node in walk:
-            walk.extend(node.children)
-            assert len(walk) <= len(self.states), "the walk meets more nodes than are stored"
-        assert set(map(id, walk)) == set(map(id, self.states.values())), (
-            "a stored state is unreachable from the roots"
-        )

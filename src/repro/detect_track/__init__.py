@@ -9,5 +9,3 @@ that assigns persistent ids — including the characteristic failure
 modes (occlusion gaps inside a track, id churn after long occlusion)
 that the paper's temporal query semantics are designed to absorb.
 """
-from repro.detect_track.detector import Detection, Detector, DetectorConfig  # noqa: F401
-from repro.detect_track.tracker import Tracker, TrackerConfig, run_pipeline  # noqa: F401

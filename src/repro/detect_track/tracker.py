@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import pandas as pd
 
-from repro.detect_track.detector import Detection, Detector, DetectorConfig, iou
+from repro.detect_track.detector import Detection, Detector, iou
 
 if TYPE_CHECKING:  # repro.videogen imports this package
     from repro.videogen.scene import GTObject, Scene

@@ -10,10 +10,3 @@ occlusion dropouts, under static or moving cameras — which the
 detector and tracker, reproducing the stream statistics of the paper's
 Table 6 per dataset profile.
 """
-from repro.videogen.scene import GTObject, Scene, SceneConfig  # noqa: F401
-from repro.videogen.datasets import (  # noqa: F401
-    DATASETS,
-    build_vr,
-    dataset_profile,
-    reuse_ids,
-)

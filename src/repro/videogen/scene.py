@@ -1,11 +1,11 @@
 """Scene simulator: ground-truth object streams with bounding boxes.
 
-Objects arrive by a Poisson process and dwell either a short
-exponential time (passing traffic / pedestrians) or — with probability
-``p_long`` — a large fraction of the whole video (parked or stopped
-vehicles, the long-dwelling tail real traffic cameras see; these are
-what make duration thresholds like the paper's d=240-of-w=300
-satisfiable at all).  While on scene, each
+Objects arrive by a Poisson process and dwell a short exponential
+time (passing traffic / pedestrians).  The static-camera profiles add
+``n_long`` objects that stay for a large fraction of the whole video
+(parked or stopped vehicles, the long-dwelling tail real traffic
+cameras see; these are what make duration thresholds like the paper's
+d=240-of-w=300 satisfiable at all).  While on scene, each
 object starts occlusion dropouts (intervals of invisibility) at a
 per-frame rate, so expected dropouts grow with dwell — which is what
 the paper's Table 6 shows (Occ/Obj roughly 0.1 x F/Obj on every
@@ -32,8 +32,11 @@ class SceneConfig:
     vehicles); their entries spread over the first 30% of the video
     and spans are uniform in ``[long_lo, long_hi]`` fractions of
     ``n_frames`` (clipped to the video end).  ``p_long`` additionally
-    makes a random arrival long-dwelling with that probability (used
-    by moving-camera profiles where the screen edge cuts spans).
+    makes a random arrival long-dwelling with that probability.  No
+    dataset profile sets it: all six leave it at 0.0 and take their
+    long-dwellers from ``n_long`` (none on the moving-camera ones).
+    Every Poisson arrival still draws one random number for it, so the
+    profiles' streams depend on that draw.
     ``occl_rate``: per-frame probability that a visible object starts
     an occlusion dropout (so expected dropouts per object scale with
     its dwell, matching Table 6's Occ/Obj ≈ rate × F/Obj relation).

@@ -4,7 +4,10 @@ Every generator must produce, after every frame, exactly the oracle's
 satisfied valid states (object set -> full supporting frame set).
 Streams cover i.i.d. presence, bursty dwell with occlusions, empty
 frames, gaps in the fids, runs of equal frames, objects that leave
-and come back within the window, and a hypothesis-driven fuzz.  After every frame each generator's expiry filing (and SSG's forest) is checked too.
+and come back within the window, and a hypothesis-driven fuzz.  After
+every frame each generator's expiry filing (and SSG's forest) is
+checked too, and so is its whole store: complete frame sets, closed
+under intersection.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from repro.core.model import ObjSetCodec
 from repro.core.queries import Condition, Query
 from tests.core.util import (
     bursty_stream,
+    check_invariants,
     churn_stream,
     encode_stream,
     held_stream,
@@ -36,6 +40,24 @@ from tests.core.util import (
 METHODS = ["naive", "mfs", "ssg"]
 
 
+def check_store(gen, window, admit=None):
+    """After a frame: every stored state's live frames are exactly the
+    window frames that hold its object set, and the intersection of two
+    stored states is stored whenever it is not empty (and ``admit``
+    accepts it).  A new state takes its frames from its smallest
+    generator, which these two make the group's intersection, holding
+    every frame of the others (DESIGN.md §5)."""
+    lo = gen._lo
+    for mask, st_ in gen.states.items():
+        assert live_frames(st_, lo) == [f for f, m in window if m & mask == mask], (
+            f"frames of {mask:#x} at lo={lo}"
+        )
+    masks = list(gen.states)
+    meets = {a & b for i, a in enumerate(masks) for b in masks[i + 1 :]}
+    missing = [x for x in meets if x and x not in gen.states and (admit is None or admit(x))]
+    assert not missing, f"intersections not stored: {[hex(x) for x in missing]}"
+
+
 def run_differential(stream, w, d, method):
     codec, enc = encode_stream(stream)
     gen = make_generator(method, w, d)
@@ -46,7 +68,7 @@ def run_differential(stream, w, d, method):
         while window and window[0][0] < lo:
             window.pop(0)
         gen.advance(fid, mask)
-        gen.check_invariants()
+        check_invariants(gen)
         got = gen.results()
         assert gen.result_sizes() == {m: len(fr) for m, fr in got.items()}, f"fid={fid}"
         assert all(st_.n_live_frames(lo) >= d for st_ in gen._sr.values()), f"fid={fid}"
@@ -56,6 +78,7 @@ def run_differential(stream, w, d, method):
             f"got : {{ {', '.join(f'{codec.decode(m)}:{fr}' for m, fr in sorted(got.items()))} }}\n"
             f"want: {{ {', '.join(f'{codec.decode(m)}:{fr}' for m, fr in sorted(want.items()))} }}"
         )
+        check_store(gen, window)
         if method == "mfs":
             store = {m: live_frames(st_, lo) for m, st_ in gen.states.items()}
             assert store == brute.closed_states(window), f"MFS store differs at fid={fid}"
@@ -80,7 +103,7 @@ def test_new_state_from_untrimmed_generators(method):
     assert gen.states[abc].frames[0] < lo and gen.states[ab].frames[0] < lo
     assert ac not in gen.states and a not in gen.states
     gen.advance(*enc[5])
-    gen.check_invariants()
+    check_invariants(gen)
     want = brute.closed_states(enc[lo:])
     assert gen.states[ac].frames == want[ac] == [2, 5]
     assert gen.states[a].frames == want[a] == [2, 3, 4, 5]
@@ -174,7 +197,7 @@ def test_result_state_set_holds_only_results(method, name, d):
         lo = fid - w + 1
         window = [(f, m) for f, m in window if f >= lo] + [(fid, mask)]
         gen.advance(fid, mask)
-        gen.check_invariants()
+        check_invariants(gen)
         before = len(gen._sr)
         sizes = gen.result_sizes()
         left += before - len(gen._sr)
@@ -270,7 +293,7 @@ def test_equal_frames_split(method, gap, empties, fires):
     fid, abd = enc[-1]
     before, repeated = gen.states.get(abd), gen.stats["repeated"]
     gen.advance(fid, abd)
-    gen.check_invariants()
+    check_invariants(gen)
     window = [(f, m) for f, m in enc if f > fid - W]
     assert gen.results() == satisfied_states(window, D)
     assert gen.stats["repeated"] - repeated == fires
@@ -309,7 +332,7 @@ def test_repeated_frame_counters(method, seed):
     for fid, mask in enc:
         before, stored = dict(gen.stats), dict(gen.states)
         gen.advance(fid, mask)
-        gen.check_invariants()
+        check_invariants(gen)
         delta = {k: v - before[k] for k, v in gen.stats.items()}
         repeats = bool(mask) and last is not None and last[1] == mask and last[0] > fid - w
         assert delta["repeated"] == repeats, f"fid={fid}"
@@ -435,7 +458,7 @@ def run_recycling(stream, w, d):
             width, derived = len(pipe.codec), pipe.gen.stats["derived"]
             fresh = [o for o in oids if o not in pipe.codec]
             rows = pipe.feed(fid, objs)
-            pipe.gen.check_invariants()
+            check_invariants(pipe.gen)
             recycled += pipe.gen.stats["derived"] > derived and any(
                 pipe.codec._bit_of[o] < width for o in fresh
             )
@@ -566,7 +589,7 @@ def test_derived_frame_counters(method, seed, w, d):
         )
         before = dict(gen.stats)
         gen.advance(fid, mask)
-        gen.check_invariants()
+        check_invariants(gen)
         window.append((fid, mask))
         delta = {k: v - before[k] for k, v in gen.stats.items()}
         assert delta["derived"] == derived, f"fid={fid}"
@@ -597,7 +620,7 @@ def test_reentering_object_forces_enumeration(method, w, derived):
         gen.advance(fid, mask)
     before = dict(gen.stats)
     gen.advance(*enc[2])
-    gen.check_invariants()
+    check_invariants(gen)
     assert gen.stats["derived"] - before["derived"] == derived
     assert (gen.stats["visits"] == before["visits"]) == derived
     assert gen.results() == satisfied_states(enc[max(0, 3 - w) :], 1)
@@ -652,12 +675,15 @@ def test_flicker_enumerates_only_reentering_states(method, prune, seed, w, d):
     """Objects leave and come back within ``w`` frames.  A frame's
     re-entering objects ``R`` are those absent from the previous
     non-empty frame ``p`` and present in an earlier frame of the window.
-    After every frame the invariants hold and the results equal the
-    oracle's (over the admitted object sets when pruned).  The
-    enumeration runs iff ``R`` is not empty; it adds to ``visits`` the
-    stored state count (NAIVE, MFS) or exactly the roots plus the nodes
-    reached through nodes that hold a bit of ``R`` (SSG), counted by a
-    brute walk when the enumeration starts, after expiry."""
+    After every frame the invariants hold, the store's frame sets are
+    complete and it holds every intersection of two stored states
+    (every admitted one when pruned: ``admit`` is monotone), and the
+    results equal the oracle's (over the admitted object sets when
+    pruned).  The enumeration runs iff ``R`` is not empty; it adds to
+    ``visits`` the stored state count (NAIVE, MFS) or exactly the roots
+    plus the nodes reached through nodes that hold a bit of ``R``
+    (SSG), counted by a brute walk when the enumeration starts, after
+    expiry."""
     stream = flicker_stream(w, seed)
     codec, enc = encode_stream(stream)
     admit = (lambda mask: bool(pairs_qids(codec.decode(mask)))) if prune else None
@@ -686,8 +712,9 @@ def test_flicker_enumerates_only_reentering_states(method, prune, seed, w, d):
         reentering = mask & ~last & held
         before, n_enumerated = gen.stats["visits"], len(expected)
         gen.advance(fid, mask)
-        gen.check_invariants()
+        check_invariants(gen)
         window.append((fid, mask))
+        check_store(gen, window, admit)
         assert len(expected) - n_enumerated == bool(reentering), f"fid={fid}"
         assert gen.stats["visits"] - before == (expected[-1] if reentering else 0), f"fid={fid}"
         want = satisfied_states(window, d)
@@ -734,7 +761,7 @@ def test_derived_frame_with_terminated_cut_group(method):
     for i, (fid, oids) in enumerate(stream):
         before = (pipe.stats.terminated, pipe.gen.stats["derived"], pipe.gen.stats["visits"])
         rows = pipe.feed(fid, [(o, "car" if o % 2 else "person") for o in oids])
-        pipe.gen.check_invariants()
+        check_invariants(pipe.gen)
         want = {ref.decode(m): fr for m, fr in satisfied_states(enc[: i + 1], 1).items()}
         want = {x: fr for x, fr in want.items() if pairs_qids(x)}
         assert {pipe.codec.decode(m): fr for m, fr in pipe.gen.results().items()} == want

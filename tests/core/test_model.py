@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.evaluate import METHODS, make_generator
-from repro.core.model import ObjSetCodec, State, merge_sorted_unique
+from repro.core.model import ObjSetCodec, State
 from tests.core.util import live_frames, mcos_stream
 
 
@@ -64,7 +64,7 @@ def test_advance_appends_each_frame_once():
 
 
 # ----------------------------------------------------------------------
-# Window bounds / frame order / merging
+# Window bounds / frame order
 # ----------------------------------------------------------------------
 def test_window_bounds():
     """Every method takes 0 <= d <= w with w positive and rejects the rest."""
@@ -82,21 +82,3 @@ def test_mcos_stream_enforces_order():
         with pytest.raises(ValueError, match="increasing"):
             list(mcos_stream(frames, w=4, d=1))
 
-
-@given(
-    st.lists(st.lists(st.integers(0, 50), max_size=10).map(sorted), max_size=5),
-    st.integers(0, 55),
-)
-def test_merge_sorted_unique(lists, lo):
-    lists = [sorted(set(li)) for li in lists] or [[]]
-    union = sorted(set().union(*map(set, lists)))
-    assert merge_sorted_unique(lists, 0) == union
-    assert merge_sorted_unique(lists, lo) == [f for f in union if f >= lo]
-
-
-def test_merge_single_list_copies():
-    src = [1, 2, 3]
-    out = merge_sorted_unique([src], 0)
-    assert out == src and out is not src
-    out = merge_sorted_unique([src], 2)
-    assert out == [2, 3] and src == [1, 2, 3]

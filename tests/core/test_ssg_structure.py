@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.mfs import MFSGenerator
 from repro.core.ssg import SSGGenerator
-from tests.core.util import bursty_stream, encode_stream, letters_stream
+from tests.core.util import bursty_stream, check_invariants, encode_stream, letters_stream
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -20,7 +20,7 @@ def test_graph_invariants_every_frame(seed, w, d):
     for fid, mask in enc:
         before = dict(gen.stats)
         gen.advance(fid, mask)
-        gen.check_invariants()
+        check_invariants(gen)
         if gen.stats["reparented"] > before["reparented"]:
             assert gen.stats["expired"] > before["expired"], f"fid={fid}"
 
@@ -68,7 +68,7 @@ def test_traversal_skips_disjoint_subtrees():
     assert gen.stats["visits"] - visits_before == n_roots < n_states_g1
     for fid, mask in enc[len(g1) + 1 :]:
         gen.advance(fid, mask)
-        gen.check_invariants()
+        check_invariants(gen)
 
 
 def test_visit_counts_below_mfs_state_touches():

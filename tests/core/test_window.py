@@ -21,6 +21,7 @@ import pytest
 from repro.bench import DATASET_ORDER, DEFAULT_D, DEFAULT_W, fig10_queries, labeled_stream
 from repro.core.evaluate import QueryPipeline
 from repro.videogen.datasets import DATASETS
+from tests.core.util import check_invariants
 
 W, D = DEFAULT_W, DEFAULT_D
 
@@ -55,7 +56,7 @@ def test_window_rebuild_resumes_mid_stream(dataset, method):
     mid = len(stream) // 2
     assert mid > W
     ref, pipe = cut_at(stream, mid, method)
-    pipe.gen.check_invariants()
+    check_invariants(pipe.gen)
     assert_same(pipe, ref, stream[mid:])
 
 
@@ -75,7 +76,7 @@ def test_window_rebuild_between_equal_frames(method):
     assert pipe.gen.stats["repeated"] == repeated + 1
     for frame in stream[mid + 1 :]:
         assert_same(pipe, ref, [frame])
-        pipe.gen.check_invariants()
+        check_invariants(pipe.gen)
 
 
 @pytest.mark.parametrize("method", ["naive", "mfs", "ssg"])
@@ -102,6 +103,6 @@ def test_window_rebuild_before_derived_frame(method):
     derived = pipe.gen.stats["derived"]
     assert_same(pipe, ref, stream[mid : mid + 1])
     assert pipe.gen.stats["derived"] == derived + 1
-    pipe.gen.check_invariants()
+    check_invariants(pipe.gen)
     assert_same(pipe, ref, stream[mid + 1 :])
-    pipe.gen.check_invariants()
+    check_invariants(pipe.gen)

@@ -7,13 +7,61 @@ from typing import Iterable, Iterator, NamedTuple
 from repro.bench import labeled_stream
 from repro.core.brute import closed_states
 from repro.core.evaluate import QueryPipeline, advance_frame, make_generator
+from repro.core.mfs import MFSGenerator
 from repro.core.model import ObjSetCodec
 from repro.core.queries import Query
+from repro.core.ssg import SSGGenerator
 
 
 def live_frames(st, lo: int) -> list[int]:
     """A stored state's frames from the window low bound ``lo`` on."""
     return [f for f in st.frames if f >= lo]
+
+
+def check_invariants(gen: MFSGenerator) -> None:
+    """Filing invariants of every generator, and the forest's of an
+    ``SSGGenerator``; asserted by tests after every frame."""
+    filed = [(key, st) for key, bucket in gen._buckets.items() for st in bucket]
+    assert len(filed) == gen.n_states(), "entries differ from stored states"
+    assert {id(st) for _, st in filed} == set(map(id, gen.states.values())), "filing"
+    lo, w = gen._lo, gen.w
+    for key, st in filed:
+        assert lo <= key <= gen._key(st), f"key {key} outside [lo, death key]"
+        # What bounds ``_expire``: every key is a fid of the window.
+        assert key < lo + w, f"key {key} beyond the window's newest fid"
+    # What the update step relies on: a stored state meets the last
+    # non-empty frame in a listed key, unless ``admit`` refused it.
+    last_mask, _, keys = gen._last
+    listed = set(keys)
+    assert len(listed) == len(keys), "a group key listed twice"
+    for mask in gen.states:
+        inter = mask & last_mask
+        if inter and (gen.admit is None or inter in gen.states):
+            assert inter in listed, "a stored state meets the last frame in no listed key"
+    if not isinstance(gen, SSGGenerator):
+        return
+    for node in gen.states.values():
+        assert gen.states.get(node.objset) is node
+        for c in node.children:
+            assert c.objset & node.objset == c.objset and c.objset != node.objset, (
+                "Property 1 violated"
+            )
+            assert c.parent is node, "child's parent is another node"
+        if node.parent is None:
+            assert gen.roots.get(node.objset) is node, "parentless node not a root"
+    for mask, node in gen.roots.items():
+        assert gen.states.get(mask) is node and node.parent is None, "root has a parent"
+    # The ST traversal starts at the roots and descends along
+    # children: the walk must meet every stored state, each once.
+    # With the checks above this makes every node one child of its
+    # parent, or a root.
+    walk = list(gen.roots.values())
+    for node in walk:
+        walk.extend(node.children)
+        assert len(walk) <= len(gen.states), "the walk meets more nodes than are stored"
+    assert set(map(id, walk)) == set(map(id, gen.states.values())), (
+        "a stored state is unreachable from the roots"
+    )
 
 
 def satisfied_states(

@@ -1,5 +1,5 @@
 """The package does not depend on test-only libraries, nor define
-test-only code.
+test-only code, nor import names it never reads.
 
 ``src/repro`` is what jobs, benchmarks and Spark tasks import; test
 oracles, drivers and fixtures live under ``tests/``.  Every module is
@@ -9,7 +9,6 @@ names.
 from __future__ import annotations
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,35 +55,59 @@ def test_src_defines_no_test_only_name():
     assert defined == set()
 
 
-def _names(node: ast.AST) -> Counter:
-    """Every identifier ``node`` names: read names, attributes, imported
-    names and defined names.  A definition names its overrides, which
-    are reached through its callers."""
-    out: Counter = Counter()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out[n.id] += 1
-        elif isinstance(n, ast.Attribute):
-            out[n.attr] += 1
-        elif isinstance(n, ast.alias):
-            out[n.name.rsplit(".", 1)[-1]] += 1
-        elif isinstance(n, DEFS):
-            out[n.name] += 1
+def _names(node: ast.AST, inside: frozenset[str] = frozenset()) -> set[str]:
+    """Every identifier ``node`` names (read names, attributes and
+    imported names) outside a definition of the same name: an
+    override's ``super().name()`` and a recursive call do not reach
+    ``name``, while a definition's callers reach its overrides too."""
+    if isinstance(node, DEFS):
+        inside |= {node.name}
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.alias):
+        name = node.name.rsplit(".", 1)[-1]
+    else:
+        name = None
+    out = {name} if name is not None and name not in inside else set()
+    for child in ast.iter_child_nodes(node):
+        out |= _names(child, inside)
     return out
 
 
 def test_src_defines_nothing_only_tests_reach():
     """Every function, method and class defined in ``src/repro``
     (dunders exempt) is named in ``src/repro``, ``jobs/`` or
-    ``perfbench/`` outside its own definition."""
+    ``perfbench/`` outside every definition of its name."""
     trees = {p: ast.parse(p.read_text(), filename=str(p))
              for root in CALLERS for p in sorted(root.rglob("*.py"))}
-    named = sum((_names(t) for t in trees.values()), Counter())
+    named = set().union(*map(_names, trees.values()))
     unreached = {
         (str(p.relative_to(SRC)), node.name)
         for p, tree in trees.items() if p.is_relative_to(SRC)
         for node in ast.walk(tree)
-        if isinstance(node, DEFS) and not node.name.startswith("__")
-        and named[node.name] == _names(node)[node.name]
+        if isinstance(node, DEFS) and not node.name.startswith("__") and node.name not in named
     }
     assert unreached == set()
+
+
+def _unread_imports(tree: ast.Module) -> set[str]:
+    """Names ``tree`` imports but never reads (``from __future__`` exempt)."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bound - read
+
+
+def test_src_imports_nothing_unread():
+    unread = {
+        (str(p.relative_to(SRC)), name)
+        for p in sorted(SRC.rglob("*.py"))
+        for name in _unread_imports(ast.parse(p.read_text(), filename=str(p)))
+    }
+    assert unread == set()
