@@ -21,25 +21,30 @@ state joins when an append or a creation brings it to ``d`` live
 frames, and leaves when it is dropped or when ``result_sizes``, the
 one filter (the paper's revalidation), finds it below ``d`` live
 frames; ``results`` lists the members' frames.  Enumeration costs at
-most two ``&`` and one group probe per state it meets: frames are
-trimmed lazily, only where the update step appends to them (a new
-state copies its generator's from ``lo`` on), so other states keep up
-to ``w`` expired frames and read accessors take ``lo``.
+most two ``&`` and one group probe per state it meets.  Frames are
+trimmed lazily, once a window: an append trims only when the oldest
+frame is more than ``w`` below ``lo`` (a new state copies its
+generator's from ``lo`` on), so a state keeps fewer than ``2w``
+expired frames and read accessors take ``lo``.
 
-A new state takes the live frames of its generator with the fewest
-objects, then the arriving fid, in place of the paper's ``merge()``
-over all its generators.  The store is closed under non-empty
-intersection (under pruning, under admissible intersection), so that
-generator is the group's intersection, lies inside every other one,
-and its complete frame set holds theirs (DESIGN.md §5, "Why a new
-state's frames are complete").
+The update step touches each state once a frame.  Each group is
+summarised as it forms (newest mark, smallest member, first member),
+and the append/create loop reads the summary.  A new state takes the
+live frames of its smallest generator, then the arriving fid, in
+place of the paper's ``merge()`` over all its generators.  The store
+is closed under non-empty intersection (under pruning, under
+admissible intersection), so that generator is the group's
+intersection, lies inside every other one (so its mask is the
+lowest), and its complete frame set holds theirs (DESIGN.md §5, "Why
+a new state's frames are complete").
 
 Every non-empty frame is *derived* from the previous non-empty frame
 ``p``.  Its *re-entering* bits ``R`` are the entering objects (absent
 from ``p``) last seen inside the window (``_left``); no stored state
 holds any other entering object.  A stored state without an ``R`` bit
-meets the frame as its group key at ``p`` does, so ``p``'s keys stand
-in for it: a key inside the frame is appended to, the others are
+meets the frame as its group key at ``p`` does, so ``p``'s keys, held
+as states (``_drop`` sets a dropped one's object set to 0), stand in
+for it: a key inside the frame is appended to, the others are
 grouped by what they keep of the frame.  Only when ``R`` is not empty
 does the enumeration run, and it groups only the states that hold an
 ``R`` bit.  A group that holds an ``R`` bit has only such members and
@@ -109,9 +114,10 @@ class MFSGenerator:
         self._sr: dict[int, State] = {}  # Result State Set, filtered by result_sizes
         self._lo = 0
         # The previous non-empty frame's mask and fid, and its stored
-        # group keys, its own object set among them: every stored state
-        # that meets that frame meets it in one of these keys.
-        self._last: tuple[int, int, list[int]] = (0, 0, [])
+        # group key states, its own object set among them: every stored
+        # state that meets that frame meets it in one of these keys.  A
+        # key dropped since has object set 0 (``_drop``).
+        self._last: tuple[int, int, list[State]] = (0, 0, [])
         # Bit -> the last frame that held it before a non-empty frame
         # without it: a bit entering now is held by no stored state
         # unless that frame is in the window.
@@ -124,13 +130,18 @@ class MFSGenerator:
         non-empty frame's keys inside the frame and group the others by
         their cut ``key & objs_mask``; then append, propagate or create
         over every group (DESIGN.md §5, "Derived frames")."""
-        lo = fid - self.w + 1
-        d = self.d
+        w, d = self.w, self.d
+        lo = fid - w + 1
         self._expire(lo)
         self._lo = lo
         sr = self._sr
         if not objs_mask:
             return
+        # An append trims only once its oldest frame is more than ``w``
+        # below ``lo``, and the state joins the Result State Set when its
+        # ``dn``-th newest frame is live (``dn = 1`` stands in for
+        # ``d = 0``: an appended state's newest frame is live).
+        old, dn = lo - w, d or 1
         states = self.states
         admit = self.admit
         last_mask, last_fid, last_keys = self._last
@@ -142,56 +153,57 @@ class MFSGenerator:
             if last_mask and last_fid >= lo:
                 self.stats["derived"] += 1
                 self.stats["repeated"] += objs_mask == last_mask
-        keys: list[int] = []
-        for key in last_keys:
-            ex = states.get(key)
-            if ex is None:
-                continue
+        keys: list[State] = []
+        for ex in last_keys:
+            key = ex.objset
             inter = key & objs_mask
             if inter == key:
+                if not key:
+                    continue  # dropped since ``p`` (``_drop``)
                 fr = ex.frames
-                if fr[0] < lo:
+                if fr[0] < old:
                     del fr[: bisect_left(fr, lo)]
                 fr.append(fid)
-                if len(fr) >= d:
+                if len(fr) >= dn and fr[-dn] >= lo:
                     sr[key] = ex
-                keys.append(key)
+                keys.append(ex)
             elif inter:
-                bucket = gens.get(inter)
-                if bucket is None:
-                    gens[inter] = [ex]
+                g = gens.get(inter)
+                if g is None:
+                    gens[inter] = [ex.mark, key, ex, ex]
                 else:
-                    bucket.append(ex)
-        for inter, glist in gens.items():
+                    if ex.mark > g[0]:
+                        g[0] = ex.mark
+                    if key < g[1]:
+                        g[1], g[2] = key, ex
+        for inter, (mark, _, small, first) in gens.items():
             ex = states.get(inter)
             if ex is not None:
                 # Append case: ``inter == ex.objset`` and ``ex.objset ⊆
-                # objs_mask``.  Its length is read next, so its frames are
-                # trimmed here.  A key of ``p`` inside the frame has
+                # objs_mask``.  A key of ``p`` inside the frame has
                 # ``fid`` already.
                 fr = ex.frames
                 if fr[-1] != fid:
-                    if fr[0] < lo:
+                    if fr[0] < old:
                         del fr[: bisect_left(fr, lo)]
                     fr.append(fid)
-                    keys.append(inter)
-                for g in glist:
-                    if g.mark > ex.mark:
-                        ex.mark = g.mark  # mark propagation (§4.2.3)
-                if len(fr) >= d:
+                    keys.append(ex)
+                if mark > ex.mark:
+                    ex.mark = mark  # mark propagation (§4.2.3)
+                if len(fr) >= dn and fr[-dn] >= lo:
                     sr[inter] = ex
             elif admit is None or admit(inter):
-                # The generator with the fewest objects is the group's
-                # intersection, so its frames hold every other one's.
-                # They are not empty and below ``fid``: its newest frame
-                # is live, and no generator took ``fid`` (DESIGN.md §5).
-                fr = min(glist, key=lambda g: g.objset.bit_count()).frames
+                # The smallest generator is the group's intersection, so
+                # its frames hold every other one's.  They are not empty
+                # and below ``fid``: its newest frame is live, and no
+                # generator took ``fid`` (DESIGN.md §5).
+                fr = small.frames
                 fr = fr[bisect_left(fr, lo) :]
                 fr.append(fid)
-                st = self._create(inter, fr, max(g.mark for g in glist), glist[0], ())
+                st = self._create(inter, fr, mark, first, ())
                 if len(fr) >= d:
                     sr[inter] = st
-                keys.append(inter)
+                keys.append(st)
         # The arriving frame's own object set is (or becomes) a
         # principal-style state with the arriving fid marked.  A stored
         # one contains the frame's object set, so it is a group key and
@@ -203,7 +215,7 @@ class MFSGenerator:
             st = self._create(objs_mask, [fid], fid, None, keys)
             if d <= 1:
                 sr[objs_mask] = st
-            keys.append(objs_mask)
+            keys.append(st)
         self._last = (objs_mask, fid, keys)
 
     def _reentering(self, lo: int, objs_mask: int) -> int:
@@ -259,30 +271,40 @@ class MFSGenerator:
     def _drop(self, st: State) -> None:
         del self.states[st.objset]
         self._sr.pop(st.objset, None)
+        # No stored state has an empty object set: this marks the state
+        # dropped for the previous frame's key list, which holds it.
+        st.objset = 0
 
-    def _generators(self, objs_mask: int, probe: int) -> dict[int, list[State]]:
+    def _generators(self, objs_mask: int, probe: int) -> dict[int, list]:
         """Scan: meet every stored state, grouping those that hold a bit
-        of ``probe`` by their intersection with the frame."""
-        gens: dict[int, list[State]] = {}
+        of ``probe`` by their intersection with the frame.  Each group
+        is summarised as it forms (``[mark, small.objset, small,
+        first]``): its newest mark, its smallest member (its
+        intersection, the lowest mask since a subset's mask is never
+        larger) and its first member."""
+        gens: dict[int, list] = {}
         states = self.states
         for st in states.values():
             objset = st.objset
             if objset & probe:
                 inter = objset & objs_mask
-                bucket = gens.get(inter)
-                if bucket is None:
-                    gens[inter] = [st]
+                g = gens.get(inter)
+                if g is None:
+                    gens[inter] = [st.mark, objset, st, st]
                 else:
-                    bucket.append(st)
+                    if st.mark > g[0]:
+                        g[0] = st.mark
+                    if objset < g[1]:
+                        g[1], g[2] = objset, st
         self.stats["visits"] += len(states)
         return gens
 
     def _create(
-        self, objset: int, frames: list[int], mark: int, parent: State | None, below: Iterable[int]
+        self, objset: int, frames: list[int], mark: int, parent: State | None, below: Iterable[State]
     ) -> State:
         """Store, file and return a new state.  ``parent`` is one of its
         generators (``None`` for a principal state); ``below`` holds the
-        object sets a new principal state sits above.  Only SSG's graph
+        stored states a new principal state sits above.  Only SSG's graph
         reads them."""
         self.states[objset] = st = self.state_cls(objset, frames, mark)
         self._file(st, self._key(st))

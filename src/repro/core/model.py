@@ -134,10 +134,11 @@ class State:
     threshold).  Mark-set union from the paper's marking rules becomes
     ``max``.  ``frames`` is complete: its live frames are every window
     frame whose object set contains ``objset``.  Frames are trimmed
-    lazily, by the update step when it appends to the state; a new
-    state copies its smallest generator's from ``lo`` on.  Any other
-    state may still hold expired frames (at most ``w``), so read
-    accessors take the window low bound ``lo``.  The generator
+    lazily, by the update step when it appends to the state and the
+    oldest frame is more than ``w`` below ``lo``; a new state copies
+    its smallest generator's from ``lo`` on.  So a state may hold
+    expired frames (fewer than ``2w``), and read accessors take the
+    window low bound ``lo``.  The generator
     drops the state itself once its death key expires (see
     :mod:`repro.core.mfs`).
     """

@@ -21,9 +21,11 @@ parent could add visits but never prune one; with one parent a node is
 pushed at most once per frame and needs no visit flag.
 
 SSG runs the MFS update step (:mod:`repro.core.mfs`) and differs from
-MFS in enumeration only: it overrides ``_generators`` (ST traversal),
-``_create`` (forest edges, CNPS) and ``_drop`` (node removal); expiry
-buckets and the Result State Set are the shared ones.  See DESIGN.md
+MFS in enumeration only: it overrides ``_generators`` (ST traversal,
+summarising each group as MFS's scan does, whose first member is a new
+state's parent), ``_create`` (forest edges, CNPS over the frame's key
+states) and ``_drop`` (node removal); expiry buckets and the Result
+State Set are the shared ones.  See DESIGN.md
 §5 for the mapping to the paper's pseudocode, these deviations, and
 the ambiguities resolved:
 
@@ -99,7 +101,6 @@ class SSGGenerator(MFSGenerator):
 
     def _drop(self, node: SSGNode) -> None:
         """Detach an invalid node, hanging its children below its parent."""
-        super()._drop(node)
         self.roots.pop(node.objset, None)
         p = node.parent
         if p is not None:
@@ -111,9 +112,10 @@ class SSGGenerator(MFSGenerator):
             else:
                 self._add_edge(p, c)
                 self.stats["reparented"] += 1
+        super()._drop(node)
 
     def _create(
-        self, objset: int, frames: list[int], mark: int, parent: SSGNode | None, below: Iterable[int]
+        self, objset: int, frames: list[int], mark: int, parent: SSGNode | None, below: Iterable[SSGNode]
     ) -> SSGNode:
         node = super()._create(objset, frames, mark, parent, below)
         if parent is None:
@@ -125,30 +127,34 @@ class SSGGenerator(MFSGenerator):
         # CNPS: a new principal state takes every intersection state of
         # its frame that has no parent yet (§4.3.5); one created this
         # frame hangs below its generator already.
-        for inter in below:
-            child = self.states.get(inter)
-            if child is not None and child.parent is None:
+        for child in below:
+            if child.parent is None:
                 self._add_edge(node, child)
         return node
 
-    def _generators(self, objs_mask: int, probe: int) -> dict[int, list[SSGNode]]:
+    def _generators(self, objs_mask: int, probe: int) -> dict[int, list]:
         """ST traversal (Algorithm 1) on ``probe``, breadth-first over
         one list that grows while it is read: in a forest every node is
-        queued at most once per frame."""
-        gens: dict[int, list[SSGNode]] = {}
+        queued at most once per frame.  Groups are summarised as in
+        :meth:`MFSGenerator._generators`; a group's first member is the
+        new state's parent."""
+        gens: dict[int, list] = {}
         queue = list(self.roots.values())
         push = queue.extend
-        get_bucket = gens.get
+        get_group = gens.get
         for node in queue:
             objset = node.objset
             if not objset & probe:
                 continue  # descendants are subsets: none holds a probed bit
             inter = objset & objs_mask
-            bucket = get_bucket(inter)
-            if bucket is None:
-                gens[inter] = [node]
+            g = get_group(inter)
+            if g is None:
+                gens[inter] = [node.mark, objset, node, node]
             else:
-                bucket.append(node)
+                if node.mark > g[0]:
+                    g[0] = node.mark
+                if objset < g[1]:
+                    g[1], g[2] = objset, node
             if node.children:
                 push(node.children)
         self.stats["visits"] += len(queue)

@@ -772,3 +772,58 @@ def test_derived_frame_with_terminated_cut_group(method):
     assert pipe.stats.terminated == before[0] + 1
     assert (1, 2, 4) not in {pipe.codec.decode(m) for m in pipe.gen.states}
     assert (1, 2, 4, 8) in {pipe.codec.decode(m) for m in pipe.gen.states}
+
+
+# ----------------------------------------------------------------------
+# The previous frame's keys are held as states; ``_drop`` marks a
+# dropped one with object set 0
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("prune", [False, True], ids=["unpruned", "pruned"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", range(2))
+def test_negative_fids_match_shifted_stream(method, prune, seed):
+    """A stream whose fids start below ``-w`` (so frames ``-w`` to ``-1``
+    come and go, and marks take those values) gives every frame the
+    rows, and ends with the ``gen.stats`` and pipeline stats, of the same
+    stream from fid 0: no fid, however negative, can pass for the marker
+    of a dropped state."""
+    w, d = 6, 2
+    stream = flicker_stream(w, seed, n_frames=80)
+    shift = -3 * w - 1
+    assert stream[0][0] + shift < -w and any(fid + shift == -1 for fid, _ in stream)
+    pipes = [
+        QueryPipeline(PAIRS if prune else ANY, w=w, d=d, method=method, prune=prune)
+        for _ in range(2)
+    ]
+    for fid, oids in stream:
+        objs = [(o, "car" if o % 2 else "person") for o in oids]
+        rows = [sorted(pipe.feed(f, objs)) for pipe, f in zip(pipes, (fid, fid + shift))]
+        assert rows[0] == rows[1], f"fid={fid}"
+        check_invariants(pipes[1].gen)
+    assert pipes[0].gen.stats == pipes[1].gen.stats
+    assert pipes[0].stats == pipes[1].stats
+    assert pipes[0].gen.stats["expired"] and pipes[0].stats.matches, "weak test"
+
+
+@pytest.mark.parametrize("method", ["mfs", "ssg"])
+def test_dropped_key_skipped_when_recreated(method):
+    """w=2.  {A} is made at frame 0 and is a key of frame 1 ({A, B}),
+    still marked at 0.  At frame 2 ({A}) that mark expires and {A} is
+    dropped, while frame 2 makes {A} again from {A, B}.  The key loop
+    skips the dropped state instead of appending to it, the new state is
+    listed once, and results equal the oracle's after every frame."""
+    w, d = 2, 1
+    codec, enc = encode_stream(letters_stream(["A", "AB", "A", "AB", "A"]))
+    a = codec.encode_iter([ord("A")])
+    gen = make_generator(method, w, d)
+    for i, (fid, mask) in enumerate(enc):
+        before = gen.states.get(a)
+        gen.advance(fid, mask)
+        check_invariants(gen)
+        assert gen.results() == satisfied_states(enc[max(0, i + 1 - w) : i + 1], d), f"fid={fid}"
+        if fid == 2:
+            keys = gen._last[2]
+            assert before is not None and before.mark == 0 and gen.states[a] is not before
+            assert all(st_ is not before for st_ in keys), "the dropped state is listed"
+            assert [st_ for st_ in keys if st_.objset == a] == [gen.states[a]]
+            assert gen.states[a].frames == [1, 2]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.bench import labeled_stream
@@ -29,11 +30,21 @@ def check_invariants(gen: MFSGenerator) -> None:
         assert lo <= key <= gen._key(st), f"key {key} outside [lo, death key]"
         # What bounds ``_expire``: every key is a fid of the window.
         assert key < lo + w, f"key {key} beyond the window's newest fid"
+        # Frames are trimmed by an append once the oldest is more than
+        # ``w`` below ``lo``, and the newest is live: fewer than ``2w``
+        # frames below ``lo`` remain.
+        assert bisect_left(st.frames, lo) < 2 * w, "more than 2w - 1 expired frames"
     # What the update step relies on: a stored state meets the last
-    # non-empty frame in a listed key, unless ``admit`` refused it.
+    # non-empty frame in a listed key, unless ``admit`` refused it.  The
+    # keys are the stored states themselves, each listed once; a key
+    # dropped since, by an empty frame's expiry, has object set 0.
     last_mask, _, keys = gen._last
-    listed = set(keys)
-    assert len(listed) == len(keys), "a group key listed twice"
+    assert len(set(map(id, keys))) == len(keys), "a group key listed twice"
+    for st in keys:
+        assert st.objset == 0 or gen.states.get(st.objset) is st, (
+            "a listed key is neither a stored state nor marked dropped"
+        )
+    listed = {st.objset for st in keys}
     for mask in gen.states:
         inter = mask & last_mask
         if inter and (gen.admit is None or inter in gen.states):
